@@ -6,7 +6,7 @@ The paper's protocol, stated as message types:
 message                direction                                tag
 =====================  =======================================  ==========
 CollectiveOp           master client -> master server           REQUEST
-CollectiveOp           master server -> other servers           SCHEMA
+SchedOp                master server -> other servers           SCHED
 FetchRequest           server -> client            (write)      FETCH
 PieceData              client -> server            (write)      DATA
 PieceData              server -> client            (read)       PIECE
@@ -14,7 +14,6 @@ server completion      server -> master server                  SERVER_DONE
 op completion          master server -> master client           OP_DONE
 op completion          master client -> other clients           CLIENT_DONE
 shutdown               runtime -> servers                       SHUTDOWN
-SchedOp                master server -> other servers           SCHED
 OpRejection            master server -> master client           OP_REJECTED
 =====================  =======================================  ==========
 
@@ -71,7 +70,6 @@ class Tags:
     """Message tag namespace."""
 
     REQUEST = 10
-    SCHEMA = 11
     FETCH = 12
     DATA = 13
     PIECE = 14
@@ -85,9 +83,9 @@ class Tags:
     #: fault mode only -- master server hands a surviving server part of
     #: a crashed server's plan (see :mod:`repro.core.recovery`).
     RECOVER = 20
-    #: scheduled mode only -- master server broadcasts an admitted op
-    #: plus scheduling metadata (see :mod:`repro.core.scheduler`);
-    #: replaces SCHEMA when an inter-op scheduler is configured.
+    #: master server broadcasts an admitted op plus scheduling metadata
+    #: (see :mod:`repro.core.scheduler`) -- the paper's schema
+    #: broadcast.
     SCHED = 21
     #: ``slo`` policy only -- the owning shard master refuses to enqueue
     #: a REQUEST from a tenant whose latency budget is shed-exhausted
@@ -164,7 +162,8 @@ class CollectiveOp:
     client_ranks: Tuple[int, ...] = ()
     #: fair-share weight when an inter-op scheduler is configured: an op
     #: with priority 2 receives twice the service of a priority-1 op
-    #: while both are in flight.  Ignored by the unscheduled path.
+    #: while both are in flight.  Ignored by the paper's fifo loop
+    #: (``scheduler=None``).
     priority: int = 1
 
     def __post_init__(self) -> None:
@@ -264,10 +263,11 @@ class ServerDone:
     server_index: int
     bytes_moved: int
     recovery: bool = False
-    #: scheduled mode only: the scheduler's globally unique admission
-    #: sequence number.  Per-group ``op_id`` counters all start at 0, so
-    #: with several client groups in flight this is what routes a
-    #: completion to the right op.  -1 on the unscheduled path.
+    #: the scheduler's globally unique admission sequence number.
+    #: Per-group ``op_id`` counters all start at 0, so with several
+    #: client groups in flight this is what routes a completion to the
+    #: right op.  -1 on recovery completions, which the recovering
+    #: master matches on ``op_id`` inside its own gather.
     admit_seq: int = -1
 
 

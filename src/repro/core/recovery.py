@@ -19,9 +19,10 @@ Mechanics
   (:func:`recovery_file`) on the survivor's own file system.
 - The resulting :class:`RecoveryAssignment` tuples travel either
   mid-op (tag RECOVER, wrapped in :class:`RecoverMsg`, after the
-  master's failure detector fires during the completion gather) or
-  up-front inside the :class:`SchemaMsg` broadcast (for ops that start
-  after a crash, and for reads of datasets that were recovered at
+  master's failure detector fires while the op is in flight) or
+  up-front inside the SCHED broadcast (the
+  :class:`~repro.core.scheduler.SchedOp` ``recoveries``, for ops that
+  start after a crash, and for reads of datasets that were recovered at
   write time).
 - At commit the master records the assignments in the runtime's
   relocation table: reads of a recovered dataset route the crashed
@@ -48,7 +49,6 @@ from repro.core.protocol import CollectiveOp
 __all__ = [
     "RecoverMsg",
     "RecoveryAssignment",
-    "SchemaMsg",
     "partition_recovery",
     "recovery_file",
 ]
@@ -91,32 +91,12 @@ class RecoverMsg:
     assignment for ``op`` (mid-op, after the failure detector fired).
 
     ``reply_to`` is the rank the survivor sends its recovery completion
-    to; ``-1`` (the single-master default) means the master server's
-    rank.  Sharded admission sets it to the issuing shard master's
-    rank, since any shard master may run a mid-op recovery."""
+    to: the issuing master's, since with sharded admission any shard
+    master may run a mid-op recovery."""
 
     op: CollectiveOp
     assignment: RecoveryAssignment
-    reply_to: int = -1
-
-
-@dataclass(frozen=True)
-class SchemaMsg:
-    """Master server -> other servers in fault mode (tag SCHEMA): the
-    op plus degraded-mode directives.
-
-    ``skip`` lists server indices whose normal plan portion must not be
-    executed: currently-crashed nodes, and (for reads) indices whose
-    data was relocated at write time.  ``recoveries`` carries the
-    relocated work, each assignment addressed to one survivor."""
-
-    op: CollectiveOp
-    skip: Tuple[int, ...] = ()
-    recoveries: Tuple[RecoveryAssignment, ...] = ()
-
-    def mine(self, server_index: int) -> Tuple[RecoveryAssignment, ...]:
-        return tuple(a for a in self.recoveries
-                     if a.survivor_index == server_index)
+    reply_to: int
 
 
 def partition_recovery(

@@ -269,8 +269,8 @@ class PandaRuntime:
                 f"many I/O nodes; this runtime has {n_io}"
             )
         #: consistent-hash dataset -> shard-master map (sharded
-        #: admission only; ``None`` single-master keeps every routing
-        #: decision, and timing, bit-identical to the unsharded code).
+        #: admission only; ``None`` routes every REQUEST to the single
+        #: master server).
         self.shard_map = None
         if sched_cfg is not None and sched_cfg.n_shards > 1:
             from repro.core.scheduler import ShardMap
@@ -323,7 +323,8 @@ class PandaRuntime:
         #: scheduled mode (``config.scheduler`` set): the master
         #: server's per-op queue-wait/turnaround observations
         #: (:class:`repro.core.scheduler.SchedStats`); replaced at the
-        #: start of each run, ``None`` on the unscheduled path.
+        #: start of each run.  ``None`` when ``config.scheduler`` is
+        #: None: the paper's loop keeps its stats private.
         self.sched_stats = None
         #: ``slo`` policy: shard index -> that master's per-tenant
         #: :class:`repro.obs.slo.SLOTracker`; replaced at the start of

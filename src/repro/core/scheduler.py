@@ -67,8 +67,8 @@ import hashlib
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Deque, Dict, Iterable, List,
-                    Optional, Set, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable,
+                    List, Optional, Set, Tuple, Union)
 
 from repro.obs.slo import SLOBudget
 
@@ -115,8 +115,9 @@ class SchedulerConfig:
     """Turns on the inter-op scheduler.
 
     Attach via ``PandaConfig(scheduler=SchedulerConfig(policy="fair"))``.
-    ``scheduler=None`` (the default) keeps the paper's one-op-at-a-time
-    server loop -- and every simulated timing -- bit-identical.
+    ``scheduler=None`` (the default) is the paper's one-op-at-a-time
+    server: the same server loop under a fixed fifo, one-in-flight,
+    single-master configuration (see :mod:`repro.core.server`).
     """
 
     #: service policy: "fifo", "sjf" or "fair" (see module docstring).
@@ -130,10 +131,9 @@ class SchedulerConfig:
     #: op's priority weight.
     quantum_bytes: int = 1 << 20
     #: admission-plane shards.  1 (the default) is the paper's single
-    #: master server, bit-identical to every earlier timing.  k > 1
-    #: partitions datasets over shard masters 0..k-1 by consistent
-    #: hash; each shard master runs its own queue and max_in_flight /
-    #: queue_limit budget.
+    #: master server.  k > 1 partitions datasets over shard masters
+    #: 0..k-1 by consistent hash; each shard master runs its own queue
+    #: and max_in_flight / queue_limit budget.
     n_shards: int = 1
     #: per-tenant latency budget for the ``slo`` policy
     #: (:class:`repro.obs.slo.SLOBudget`).  ``None`` under ``slo``
@@ -165,8 +165,13 @@ class SchedulerConfig:
 class SchedOp:
     """Wire payload, master server -> other servers (tag SCHED): one
     admitted op plus the scheduling metadata every server's policy needs
-    to make identical decisions, and (fault mode) the same degraded-mode
-    directives a :class:`~repro.core.recovery.SchemaMsg` carries."""
+    to make identical decisions, and (fault mode) degraded-mode
+    directives.
+
+    ``skip`` lists server indices whose normal plan portion must not be
+    executed: currently-crashed nodes, and (for reads) indices whose
+    data was relocated at write time.  ``recoveries`` carries the
+    relocated work, each assignment addressed to one survivor."""
 
     op: "CollectiveOp"
     #: arrival sequence number at the master -- unique across groups for
@@ -174,7 +179,8 @@ class SchedOp:
     #: per-group ``op_id`` collide (two groups both start at op 0).
     admit_seq: int
     priority: int
-    #: cost-model elapsed-time estimate (the SJF key).
+    #: cost-model elapsed-time estimate (the SJF key; 0.0 under every
+    #: policy that never reads it).
     estimate: float
     skip: Tuple[int, ...] = ()
     recoveries: Tuple["RecoveryAssignment", ...] = ()
@@ -329,6 +335,9 @@ class _Policy:
     #: estimate, SLO on the demotion flag, and both must scan every
     #: eligible entry.
     admission_by_seq = True
+    #: the policy orders by the cost-model estimate (:func:`estimate_op`)
+    #: and needs it at enqueue; every other policy leaves it unpriced.
+    needs_estimate = False
 
     def admission_key(self, entry: "_Arrival") -> tuple:
         """Sort key among *eligible* queued ops at admission time."""
@@ -369,6 +378,7 @@ class SJFPolicy(_Policy):
 
     name = "sjf"
     admission_by_seq = False
+    needs_estimate = True
 
     def admission_key(self, entry: "_Arrival") -> tuple:
         return (entry.estimate, entry.seq)
@@ -503,18 +513,12 @@ class _Arrival:
 
     seq: int
     op: "CollectiveOp"
-    estimate: float
+    estimate: float  #: the SJF key (0.0 under every other policy)
     arrived: float
     #: ``slo`` policy: the tenant was over budget when this REQUEST
     #: arrived.  Fixed at enqueue (deterministic: one decision at one
     #: instant in the shard master's loop) and never re-evaluated.
     demoted: bool = False
-
-
-def _conflicts(a: "CollectiveOp", b: "CollectiveOp") -> bool:
-    """Two ops conflict when they touch the same dataset and either
-    writes; concurrent readers of one dataset commute."""
-    return a.dataset == b.dataset and (a.kind == "write" or b.kind == "write")
 
 
 class AdmissionQueue:
@@ -631,11 +635,22 @@ class OpSchedRecord:
     dataset: str
     kind: str
     priority: int
-    estimate: float
+    #: the cost-model elapsed-time estimate, or a zero-argument callable
+    #: computing it: only SJF needs it at enqueue, so every other policy
+    #: defers the prediction to the first read of :attr:`estimate`.
+    estimate_src: Union[float, Callable[[], float]]
     arrived: float
     admitted: Optional[float] = None
     completed: Optional[float] = None
     moved: int = 0
+
+    @property
+    def estimate(self) -> float:
+        """The cost model's elapsed-time prediction for this op."""
+        src = self.estimate_src
+        if callable(src):
+            src = self.estimate_src = src()
+        return src
 
     @property
     def queue_wait(self) -> float:

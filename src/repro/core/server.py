@@ -3,7 +3,7 @@
 One server process per I/O node.  Lifecycle (paper, section 2):
 
 - the **master server** (server index 0) receives the CollectiveOp from
-  the master client and relays it to the other servers;
+  the master client and broadcasts it to the other servers (tag SCHED);
 - each server independently forms its :class:`~repro.core.plan.
   ServerPlan` (round-robin chunks, 1 MB sub-chunks) -- "the servers do
   not communicate with one another during plan formation or while array
@@ -16,6 +16,19 @@ One server process per I/O node.  Lifecycle (paper, section 2):
   are scattered to the owning clients;
 - completion flows server -> master server -> master client.
 
+Every server runs one receive loop, :meth:`PandaServer.run`: admission
+at the master (or the shard masters), policy-driven sub-chunk service
+everywhere (see :mod:`repro.core.scheduler`).  The paper's
+one-op-at-a-time server (``config.scheduler is None``) is that loop
+under the fixed configuration ``_PAPER_LOOP`` -- fifo, one op in
+flight, one master -- plus exactly two charges that differ:
+
+- **(i)** the paper master gathers SERVER_DONE uncharged: it pays no
+  ``handle_ev`` per completion;
+- **(ii)** the paper master reads a REQUEST only when it can admit it at
+  once (nothing queued, nothing in flight), so the request's handling
+  is charged when the op starts.
+
 Cost model at the server: per-message handling; one staging pass over
 every sub-chunk (``copy_time(nbytes, total_piece_runs)``) -- the
 assembly/disassembly memcpy between message buffers and the I/O buffer;
@@ -27,37 +40,33 @@ the paper's blocking request/reply pairs to posting all requests first
 
 Fault mode (``config.faults`` set -- see :mod:`repro.faults`):
 
-- the SCHEMA broadcast carries a :class:`~repro.core.recovery.
-  SchemaMsg` with degraded-mode directives: server indices whose normal
-  plan portion must be skipped, plus relocated plan portions
-  (:class:`~repro.core.recovery.RecoveryAssignment`) for the survivors
-  to execute;
+- the SCHED broadcast carries degraded-mode directives
+  (:class:`~repro.core.scheduler.SchedOp` ``skip``/``recoveries``):
+  server indices whose normal plan portion must be skipped, plus
+  relocated plan portions (:class:`~repro.core.recovery.
+  RecoveryAssignment`) for the survivors to execute;
 - piece exchanges become *reliable*: blocking request/reply pairs with
   a per-exchange timeout, content-matched replies and bounded
   exponential-backoff retries (``nonblocking`` is ignored -- a reliable
   exchange keeps one outstanding request to match its reply against);
-- the master's completion gather doubles as the failure detector: it
-  polls with ``spec.detect_timeout`` and, when an I/O node crashes
-  mid-write, re-partitions the dead server's plan over the survivors
-  (:func:`~repro.core.recovery.partition_recovery`), hands the shares
-  out as RECOVER messages, executes its own share, and records the
-  relocations before committing the dataset.  A mid-*read* crash loses
-  the crashed node's data and raises
+- the master's receive loop doubles as the failure detector: with ops
+  in flight it blocks at most ``spec.detect_timeout`` and, when an I/O
+  node crashes mid-write, re-partitions the dead server's plan over the
+  survivors (:func:`~repro.core.recovery.partition_recovery`), hands
+  the shares out as RECOVER messages, executes its own share, and
+  records the relocations before committing the dataset.  A mid-*read*
+  crash loses the crashed node's data and raises
   :class:`~repro.faults.FaultRecoveryError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.plan import (
-    ServerPlan,
-    SubchunkPlan,
-    build_server_plan,
-    op_participants,
-)
+from repro.core.plan import SubchunkPlan, build_server_plan, op_participants
 from repro.core.protocol import (
     ArraySpec,
     CollectiveOp,
@@ -70,7 +79,6 @@ from repro.core.protocol import (
 from repro.core.recovery import (
     RecoverMsg,
     RecoveryAssignment,
-    SchemaMsg,
     partition_recovery,
 )
 from repro.core.scheduler import (
@@ -79,6 +87,7 @@ from repro.core.scheduler import (
     OpSchedRecord,
     SchedOp,
     SchedStats,
+    SchedulerConfig,
     ServerScheduler,
     estimate_op,
 )
@@ -92,6 +101,12 @@ from repro.schema.reorganize import extract_region, inject_region
 
 __all__ = ["PandaServer"]
 
+#: The loop configuration that ``config.scheduler is None`` runs: the
+#: paper's master takes one op at a time in arrival order.  Not a user
+#: option -- branches (i) and (ii) in the module docstring keep the
+#: paper's two distinct charges on top of it.
+_PAPER_LOOP = SchedulerConfig(policy="fifo", max_in_flight=1, queue_limit=1)
+
 
 class PandaServer:
     """One I/O node's Panda server."""
@@ -103,15 +118,20 @@ class PandaServer:
         self.comm = comm
         self.fs = fs
         #: fault mode: harden piece exchanges with timeout/retry and run
-        #: the master's gather as a failure detector.
+        #: the master's receive loop as a failure detector.
         self._reliable = runtime.injector is not None
         self._src = f"server{server_index}"
-        #: scheduled mode: this server's admission-shard index (it is a
-        #: shard master), or None.  Single-master mode: the master is
-        #: shard 0.  Set by :meth:`_run_scheduled`.
+        #: ``config.scheduler is None``: run the paper's loop, i.e.
+        #: ``_PAPER_LOOP`` plus branches (i) and (ii).
+        self._paper = runtime.config.scheduler is None
+        self._cfg: SchedulerConfig = (_PAPER_LOOP if self._paper
+                                      else runtime.config.scheduler)
+        #: this server's admission-shard index (it is a shard master),
+        #: or None.  Single-master mode: the master is shard 0.  Set by
+        #: :meth:`run`.
         self._shard: Optional[int] = None
         #: ``slo`` policy, shard masters only: this shard's per-tenant
-        #: latency bookkeeping.  Set by :meth:`_run_scheduled`.
+        #: latency bookkeeping.  Set by :meth:`run`.
         self._slo_tracker: Optional[SLOTracker] = None
         # per-op accounting for the trace/results
         self.bytes_written = 0
@@ -134,101 +154,6 @@ class PandaServer:
     def rank(self) -> int:
         return self.runtime.server_rank(self.server_index)
 
-    # -- main loop ----------------------------------------------------------
-    def run(self):
-        """The server process: handle collective ops until shutdown.
-
-        With an inter-op scheduler configured, dispatches to
-        :meth:`_run_scheduled` instead; the one-op-at-a-time loop below
-        is otherwise untouched (the golden determinism test pins its
-        timings bit-for-bit)."""
-        if self.runtime.config.scheduler is not None:
-            yield from self._run_scheduled()
-            return
-        listen = {Tags.REQUEST, Tags.SHUTDOWN} if self.is_master else \
-                 {Tags.SCHEMA, Tags.SHUTDOWN}
-        if self._reliable and not self.is_master:
-            listen.add(Tags.RECOVER)
-        while True:
-            msg = yield from self.comm.recv(tags=listen)
-            if msg.tag == Tags.SHUTDOWN:
-                return
-            if msg.tag == Tags.RECOVER:
-                yield from self._serve_recover(msg.payload)
-                continue
-            payload = msg.payload
-            skip: Tuple[int, ...] = ()
-            recoveries: Tuple[RecoveryAssignment, ...] = ()
-            pending_reloc: Dict[int, Tuple[RecoveryAssignment, ...]] = {}
-            handled_crashes: Set[int] = set()
-            if isinstance(payload, SchemaMsg):
-                op = payload.op
-                skip = payload.skip
-                recoveries = payload.recoveries
-            else:
-                op: CollectiveOp = payload
-            self._mark("srv_op_start", op_id=op.op_id, kind=op.kind)
-            yield self.comm.handle_ev()
-            if self.is_master:
-                self.runtime.catalog_check(op)
-                if self._reliable:
-                    skip, recoveries, pending_reloc, handled_crashes = \
-                        self._fault_directives(op)
-                    targets = [self.runtime.server_rank(i)
-                               for i in self.runtime.live_servers()]
-                    yield from self.comm.bcast_send(
-                        targets, Tags.SCHEMA, SchemaMsg(op, skip, recoveries)
-                    )
-                else:
-                    yield from self.comm.bcast_send(
-                        self.runtime.server_ranks, Tags.SCHEMA, op
-                    )
-            # independent plan formation
-            yield self.comm.compute_ev(self.comm.spec.plan_formation_overhead)
-            self._mark("srv_plan_ready", op_id=op.op_id)
-            moved = 0
-            if self.server_index not in skip:
-                plan = build_server_plan(
-                    op, self.server_index, self.runtime.n_io,
-                    self.runtime.config,
-                )
-                if op.kind == "write":
-                    moved += yield from self._execute_write(op, plan)
-                else:
-                    moved += yield from self._execute_read(op, plan)
-            # relocated plan portions addressed to this server (crashes
-            # known before the op started, or read-back of a dataset
-            # that was recovered at write time)
-            for a in recoveries:
-                if a.survivor_index == self.server_index:
-                    moved += yield from self._execute_assignment(op, a)
-            self._mark("srv_io_done", op_id=op.op_id, moved=moved)
-            done = ServerDone(op.op_id, self.server_index, moved)
-            if self.is_master:
-                if self.runtime.n_io > 1:
-                    if self._reliable:
-                        midop = yield from self._gather_with_detection(
-                            op, handled_crashes
-                        )
-                        pending_reloc.update(midop)
-                    else:
-                        yield from self.comm.gather_recv(
-                            self.runtime.server_ranks, Tags.SERVER_DONE
-                        )
-                if op.kind == "write":
-                    if self._reliable:
-                        self.runtime.record_relocations(op.dataset,
-                                                        pending_reloc)
-                    self.runtime.catalog_commit(op)
-                yield from self.comm.send(
-                    op.master_client, Tags.OP_DONE, done
-                )
-            else:
-                yield from self.comm.send(
-                    self.runtime.master_server_rank, Tags.SERVER_DONE, done
-                )
-            self._mark("srv_op_done", op_id=op.op_id)
-
     # -- helpers ---------------------------------------------------------------
     def _pieces_of(self, op: CollectiveOp, spec: ArraySpec,
                    item: SubchunkPlan) -> List[Tuple[int, Region]]:
@@ -241,23 +166,6 @@ class PandaServer:
         ]
 
     # -- write path ------------------------------------------------------------
-    def _execute_write(self, op: CollectiveOp, plan: ServerPlan):
-        fh = self.fs.open(plan.file_name, "w")
-        moved = yield from self._write_items(op, fh, plan.items)
-        yield from fh.fsync()
-        fh.close()
-        self.bytes_written += moved
-        return moved
-
-    def _write_items(self, op: CollectiveOp, fh, items: Tuple[SubchunkPlan, ...]):
-        """Gather-and-write the given sub-chunks into ``fh`` (the items'
-        file offsets are contiguous from wherever ``fh`` points, both
-        for a normal plan and for a recovery assignment)."""
-        moved = 0
-        for item in items:
-            moved += yield from self._write_one(op, fh, item)
-        return moved
-
     def _write_one(self, op: CollectiveOp, fh, item: SubchunkPlan):
         """Gather and write one sub-chunk -- the unit the inter-op
         scheduler interleaves at."""
@@ -364,26 +272,6 @@ class PandaServer:
         return replies
 
     # -- read path ---------------------------------------------------------------
-    def _execute_read(self, op: CollectiveOp, plan: ServerPlan):
-        if not self.fs.exists(plan.file_name):
-            raise FileNotFoundError(
-                f"server {self.server_index}: dataset file "
-                f"{plan.file_name!r} does not exist (dataset "
-                f"{op.dataset!r} was never written?)"
-            )
-        fh = self.fs.open(plan.file_name, "r")
-        moved = yield from self._read_items(op, fh, plan.items)
-        fh.close()
-        self.bytes_read += moved
-        return moved
-
-    def _read_items(self, op: CollectiveOp, fh, items: Tuple[SubchunkPlan, ...]):
-        """Read-and-scatter the given sub-chunks out of ``fh``."""
-        moved = 0
-        for item in items:
-            moved += yield from self._read_one(op, fh, item)
-        return moved
-
     def _read_one(self, op: CollectiveOp, fh, item: SubchunkPlan):
         """Read and scatter one sub-chunk -- the unit the inter-op
         scheduler interleaves at."""
@@ -467,33 +355,32 @@ class PandaServer:
         """Execute one relocated plan portion against this server's
         recovery file for it (write: gather from the clients and write;
         read: read and scatter)."""
+        moved = 0
         if op.kind == "write":
             fh = self.fs.open(a.file_name, "w")
-            moved = yield from self._write_items(op, fh, a.items)
+            for item in a.items:
+                moved += yield from self._write_one(op, fh, item)
             yield from fh.fsync()
-            fh.close()
             self.bytes_written += moved
         else:
             fh = self.fs.open(a.file_name, "r")
-            moved = yield from self._read_items(op, fh, a.items)
-            fh.close()
+            for item in a.items:
+                moved += yield from self._read_one(op, fh, item)
             self.bytes_read += moved
+        fh.close()
         return moved
 
     def _serve_recover(self, rmsg: RecoverMsg):
         """Survivor: execute a mid-op recovery assignment handed over
         by a failure-detecting master, then report it separately
         (``recovery=True``) so the issuer's two gathers stay apart.
-        The report goes to ``rmsg.reply_to`` when set -- sharded
-        admission, where any shard master may run the recovery -- and
-        to the master server otherwise."""
+        The report goes to ``rmsg.reply_to``: with sharded admission any
+        shard master may run the recovery."""
         yield self.comm.handle_ev()
         moved = yield from self._execute_assignment(rmsg.op, rmsg.assignment)
         done = ServerDone(rmsg.op.op_id, self.server_index, moved,
                           recovery=True)
-        reply_to = (rmsg.reply_to if rmsg.reply_to >= 0
-                    else self.runtime.master_server_rank)
-        yield from self.comm.send(reply_to, Tags.SERVER_DONE, done)
+        yield from self.comm.send(rmsg.reply_to, Tags.SERVER_DONE, done)
 
     def _fault_directives(self, op: CollectiveOp):
         """Master-only: degraded-mode directives for an op that starts
@@ -505,7 +392,7 @@ class PandaServer:
         relocated at write time to the recovery files that hold them;
         data whose only copy is on a crashed node is unreachable.
 
-        Returns ``(skip, recoveries, pending_relocations, crashed)``.
+        Returns ``(skip, recoveries, pending_relocations)``.
         """
         rt = self.runtime
         crashed = set(rt.crashed_servers)
@@ -525,7 +412,7 @@ class PandaServer:
                     tuple(a.survivor_index for a in assignments),
                     sum(a.nbytes for a in assignments),
                 )
-            return tuple(sorted(crashed)), tuple(recoveries), pending, crashed
+            return tuple(sorted(crashed)), tuple(recoveries), pending
         stored = rt.relocations.get(op.dataset, {})
         for k in sorted(crashed):
             if k in stored:
@@ -548,46 +435,7 @@ class PandaServer:
                     )
             recoveries.extend(assignments)
         skip = tuple(sorted(set(stored) | crashed))
-        return skip, tuple(recoveries), {}, crashed
-
-    def _gather_with_detection(self, op: CollectiveOp, handled: Set[int]):
-        """Master-only: gather ordinary completions, polling the failure
-        detector every ``detect_timeout``.  The simulation grants a
-        perfect detector (``runtime.crashed_servers``), so a slow server
-        is never declared dead -- a timeout alone proves nothing.
-        Returns the mid-op relocations {crashed index: assignments}."""
-        rt = self.runtime
-        spec = rt.injector.spec
-        handled = set(handled)
-        expected = {i for i in range(1, rt.n_io) if i not in handled}
-        done: Set[int] = set()
-        pending: Dict[int, Tuple[RecoveryAssignment, ...]] = {}
-        while expected - done:
-            msg = yield from self.comm.recv(
-                tag=Tags.SERVER_DONE,
-                match=lambda m: (m.payload.op_id == op.op_id
-                                 and not m.payload.recovery),
-                timeout=spec.detect_timeout,
-            )
-            if msg is not None:
-                done.add(msg.payload.server_index)
-                continue
-            for k in sorted(rt.crashed_servers - handled):
-                handled.add(k)
-                expected.discard(k)
-                if k in done:
-                    # finished before dying: its file is complete but
-                    # unreachable until the node is repaired (next run)
-                    continue
-                if op.kind == "read":
-                    raise FaultRecoveryError(
-                        f"server {k} crashed while scattering dataset "
-                        f"{op.dataset!r}; its unsent pieces are unreachable"
-                    )
-                assignments = yield from self._recover_midop(op, k)
-                if assignments:
-                    pending[k] = assignments
-        return pending
+        return skip, tuple(recoveries), {}
 
     def _recover_midop(self, op: CollectiveOp, k: int):
         """Failure-detecting master (the single master, or any shard
@@ -642,21 +490,22 @@ class PandaServer:
             rmsg = self.comm.try_recv(tag=Tags.RECOVER)
             if rmsg is not None:
                 yield from self._serve_recover(rmsg.payload)
-            # other crashes are left for the outer gather to handle
+            # other crashes are left for the loop's next detection pass
         return assignments
 
-    # -- scheduled mode (config.scheduler set) -------------------------------
+    # -- main loop -------------------------------------------------------------
     #
-    # Several admitted ops interleave on every server at sub-chunk
-    # granularity under the configured policy; see
-    # :mod:`repro.core.scheduler` for the architecture.  Phase marks in
-    # this mode use the globally unique ``admit_seq`` as their op_id
-    # detail, because per-group op_id counters all start at 0 and the
-    # observability layer pairs phase marks per (source, op_id).
+    # Admitted ops interleave on every server at sub-chunk granularity
+    # under the configured policy; see :mod:`repro.core.scheduler` for
+    # the architecture.  Phase marks use the globally unique
+    # ``admit_seq`` as their op_id detail, because per-group op_id
+    # counters all start at 0 and the observability layer pairs phase
+    # marks per (source, op_id).
 
-    def _run_scheduled(self):
-        """Multi-tenant server loop: admission control at the shard
-        master(s), policy-driven sub-chunk interleaving everywhere.
+    def run(self):
+        """The server process: handle collective ops until shutdown --
+        admission control at the shard master(s), policy-driven
+        sub-chunk interleaving everywhere.
 
         The loop alternates three activities, never blocking while any
         admitted op has work: (1) drain control messages (REQUEST /
@@ -671,30 +520,32 @@ class PandaServer:
         the admission side for their consistent-hash slice of the
         datasets (see :class:`~repro.core.scheduler.ShardMap`); every
         server, shard master or not, executes whatever mix of shards'
-        ops lands on it.  ``n_shards == 1`` is the historical
-        single-master loop, bit-for-bit."""
+        ops lands on it.
+
+        ``config.scheduler is None`` runs ``_PAPER_LOOP`` with the
+        paper's two charges, branches (i) and (ii) (module docstring);
+        its stats stay private, so ``runtime.sched_stats`` stays None."""
         rt = self.runtime
-        cfg = rt.config.scheduler
+        cfg = self._cfg
+        paper = self._paper
         n_shards = cfg.n_shards
         sharded = n_shards > 1
         self._shard = self.server_index if self.server_index < n_shards \
             else None
         sched = ServerScheduler(cfg, self.server_index)
-        if self._shard is not None:
-            listen = {Tags.REQUEST, Tags.SERVER_DONE, Tags.SHUTDOWN}
-            if sharded:
-                # shard masters also execute peer shards' ops and (fault
-                # mode) serve peer owners' mid-op recovery assignments
-                listen |= {Tags.SCHED}
-                if self._reliable:
-                    listen |= {Tags.RECOVER}
-        else:
-            listen = {Tags.SCHED, Tags.SHUTDOWN}
-            if self._reliable:
-                listen.add(Tags.RECOVER)
+        master = self._shard is not None
+        listen = ({Tags.REQUEST, Tags.SERVER_DONE, Tags.SHUTDOWN} if master
+                  else {Tags.SCHED, Tags.SHUTDOWN})
+        if sharded and master:
+            # shard masters also execute peer shards' ops
+            listen.add(Tags.SCHED)
+        if self._reliable and (sharded or not master):
+            # fault mode: serve mid-op recovery assignments from the
+            # master (or, sharded, from any peer owner)
+            listen.add(Tags.RECOVER)
         queue = None
         gate = None
-        if self._shard is not None:
+        if master:
             # interleaved numbering keeps admit_seq globally unique with
             # zero coordination and self-describing: the issuing shard
             # is admit_seq % n_shards
@@ -703,7 +554,7 @@ class PandaServer:
             self._sched_stats = SchedStats(policy=cfg.policy)
             if sharded:
                 rt.sched_stats.shards[self._shard] = self._sched_stats
-            else:
+            elif not paper:
                 rt.sched_stats = self._sched_stats
             if cfg.policy == "slo":
                 # per-shard tracker, deliberately un-gossiped: every
@@ -715,8 +566,12 @@ class PandaServer:
             def gate(m, _queue=queue):
                 # backpressure: while the admission queue is full,
                 # REQUESTs stay in the mailbox unread, so the queue
-                # (and the memory it pins) never exceeds its bound
-                return m.tag != Tags.REQUEST or not _queue.full
+                # (and the memory it pins) never exceeds its bound.
+                # (ii) the paper master also leaves them unread while
+                # its op is in flight: it reads a REQUEST only when it
+                # can admit it at once.
+                return m.tag != Tags.REQUEST or not (
+                    _queue.full or (paper and self._completions))
 
         #: shard master only: admit_seq -> _OpCompletion for in-flight
         #: ops this shard admitted
@@ -746,8 +601,7 @@ class PandaServer:
             if shutdown and sched.idle and not self._completions \
                     and (queue is None or not len(queue)):
                 return
-            if self._reliable and self._shard is not None \
-                    and self._completions:
+            if self._reliable and master and self._completions:
                 msg = yield from self.comm.recv(
                     tags=listen, match=gate,
                     timeout=rt.injector.spec.detect_timeout,
@@ -763,7 +617,9 @@ class PandaServer:
         """Handle one control-plane message; returns True on SHUTDOWN."""
         if msg.tag == Tags.SHUTDOWN:
             return True
-        yield self.comm.handle_ev()
+        if msg.tag != Tags.SERVER_DONE or not self._paper:
+            # (i) the paper master gathers completions uncharged
+            yield self.comm.handle_ev()
         if msg.tag == Tags.REQUEST:
             yield from self._sched_enqueue(msg.payload, queue)
         elif msg.tag == Tags.SCHED:
@@ -818,7 +674,16 @@ class PandaServer:
                                       rejection)
             return
         demoted = tracker is not None and tracker.exhausted(tenant, now)
-        est = estimate_op(op, rt.n_io, self.comm.spec, rt.config)
+        estimate: Union[float, Callable[[], float]]
+        if queue.policy.needs_estimate:
+            est = estimate = estimate_op(op, rt.n_io, self.comm.spec,
+                                         rt.config)
+        else:
+            # only SJF orders by the cost-model estimate: the record
+            # computes it on first read, off the serving loop
+            est = 0.0
+            estimate = partial(estimate_op, op, rt.n_io, self.comm.spec,
+                               rt.config)
         entry = queue.push(op, est, now, demoted=demoted)
         if demoted:
             tracker.note_demoted(tenant)
@@ -826,7 +691,7 @@ class PandaServer:
         stats.records[entry.seq] = OpSchedRecord(
             admit_seq=entry.seq, op_id=op.op_id, group=op.client_ranks,
             dataset=op.dataset, kind=op.kind, priority=op.priority,
-            estimate=est, arrived=now,
+            estimate_src=estimate, arrived=now,
         )
         stats.queue_peak = max(stats.queue_peak, queue.peak)
         if rt.trace is not None:
@@ -841,10 +706,9 @@ class PandaServer:
         """Shard master: admit eligible queued ops while in-flight
         slots are free.  Returns True when anything was admitted."""
         rt = self.runtime
-        cfg = rt.config.scheduler
         sharded = rt.n_shards > 1
         admitted = False
-        while len(self._completions) < cfg.max_in_flight:
+        while len(self._completions) < self._cfg.max_in_flight:
             in_flight = [c.sched.op for c in self._completions.values()]
             entry = queue.admissible(in_flight)
             if entry is None:
@@ -856,8 +720,7 @@ class PandaServer:
             recoveries: Tuple[RecoveryAssignment, ...] = ()
             pending_reloc: Dict[int, Tuple[RecoveryAssignment, ...]] = {}
             if self._reliable:
-                skip, recoveries, pending_reloc, _crashed = \
-                    self._fault_directives(op)
+                skip, recoveries, pending_reloc = self._fault_directives(op)
             sop = SchedOp(op=op, admit_seq=entry.seq, priority=op.priority,
                           estimate=entry.estimate, skip=skip,
                           recoveries=recoveries, shard=self._shard,
@@ -896,13 +759,8 @@ class PandaServer:
                               admit_seq=entry.seq, op_id=op.op_id,
                               dataset=op.dataset, wait=rec.queue_wait,
                               in_flight=len(self._completions), **extra)
-            if sharded or self._reliable:
-                targets = [rt.server_rank(i) for i in participants
-                           if i != self.server_index]
-                yield from self.comm.bcast_send(targets, Tags.SCHED, sop)
-            else:
-                yield from self.comm.bcast_send(rt.server_ranks, Tags.SCHED,
-                                                sop)
+            yield from self.comm.bcast_send(
+                [rt.server_rank(i) for i in participants], Tags.SCHED, sop)
             if self.server_index in participants:
                 yield from self._sched_start(sop, sched)
             else:

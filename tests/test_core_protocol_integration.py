@@ -375,10 +375,11 @@ def traced_roundtrip(**kw):
 def test_servers_never_talk_to_each_other():
     """Paper: "The servers do not communicate with one another during
     plan formation or while array data is being gathered or scattered"
-    -- only the master's schema broadcast and completion gather exist."""
+    -- only the master's schema broadcast (SCHED) and completion gather
+    exist."""
     rt, *_ = traced_roundtrip(n_io=4)
     server_ranks = set(rt.server_ranks)
-    allowed = {Tags.SCHEMA, Tags.SERVER_DONE}
+    allowed = {Tags.SCHED, Tags.SERVER_DONE}
     for rec in rt.trace.select(kind="message"):
         if rec["src"] in server_ranks and rec["dst"] in server_ranks:
             assert rec["tag"] in allowed

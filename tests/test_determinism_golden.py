@@ -68,3 +68,30 @@ def test_golden_repeatable_within_process():
     first = _run_scenario(real_payloads=False)
     second = _run_scenario(real_payloads=False)
     assert first == second
+
+
+# BENCH_scheduler.json's apps=2 ``baseline`` row (two client groups
+# writing 16 MB each to 4 shared I/O nodes through the paper's
+# one-op-at-a-time loop): per-op elapsed, captured as exact float hex.
+GOLDEN_BASELINE_2APPS = (
+    float.fromhex("0x1.f3d511240dbf9p+0"),  # 1.9524698937436809 s
+    float.fromhex("0x1.f3cc9f355b6d1p+1"),  # 3.9046820650608898 s
+)
+
+
+def test_golden_multi_group_baseline():
+    """The paper's loop serves a second client group's REQUEST only
+    once the first op has completed, and charges its handling then --
+    pinned here because only multi-group unscheduled runs observe when
+    a queued REQUEST is read.  The unscheduled loop's admission stats
+    stay private: ``runtime.sched_stats`` is None."""
+    from repro.bench.sched import run_concurrent_writes
+
+    result, stats = run_concurrent_writes(None, 2, size_mb=16)
+    assert stats is None
+    elapsed = tuple(op.elapsed for op in result.ops)
+    assert elapsed == GOLDEN_BASELINE_2APPS
+    # the committed bench row, to its stored precision
+    assert round(max(elapsed), 6) == 3.904682
+    assert round(sum(elapsed) / 2, 6) == 2.928576
+    assert round(max(elapsed) - min(elapsed), 6) == 1.952212
