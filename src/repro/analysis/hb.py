@@ -20,9 +20,12 @@ transitive closure of
   precedes every dispatch at a later one (the controller never reorders
   across timestamps).
 
-Everything here is off the fast path: the controller only exists inside
-:meth:`Simulator._run_instrumented`, and the Store/Resource ``note``
-gates are single ``is not None`` tests that never fire in normal runs.
+Everything here is off the fast path: a controller is only consulted by
+the engine's controlled loop (:meth:`Simulator._run_controlled`, the
+one :meth:`Simulator.run` takes once :meth:`Simulator.enable_controller`
+installed one -- the race detector's perturbation/logging controller is
+the other client), and the Store/Resource ``note`` gates are single
+``is not None`` tests that never fire in normal runs.
 
 Soundness boundary (see DESIGN.md section 16): application callbacks
 that share state *outside* engine primitives are invisible to the
@@ -90,7 +93,7 @@ class Step:
     index: int  #: position in the executed schedule
     seq: int  #: engine sequence number of the dispatched entry
     time: float  #: simulated dispatch time
-    label: str  #: stable content label (Simulator._dispatch_label)
+    label: str  #: stable content label (Simulator._entry_label)
     parent: int  #: step index whose callback created this entry (-1: setup)
     footprint: FrozenSet[FootKey] = frozenset()
 
@@ -146,7 +149,7 @@ class ScheduleController:
         self._parent_of: Dict[int, int] = {}  #: entry seq -> creating step index
         self._pending: Optional[_PendingStep] = None
 
-    # -- engine-facing hooks (called from _run_instrumented) ------------
+    # -- engine-facing hooks (called from _run_controlled) --------------
 
     def choose(self, t: float, frontier: List[Tuple[int, str]]) -> int:
         """Pick the index of the frontier entry to dispatch."""

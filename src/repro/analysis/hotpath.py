@@ -1,13 +1,13 @@
 """PL007: per-event lookups inside the engine's batched dispatch loop.
 
 The engine's throughput contract (DESIGN.md section 9) is that the
-drain loops in :meth:`Simulator.run` and :meth:`Simulator._run_until`
-touch only locals per event: every attribute read (``self._heap``,
-``heapq.heappop``, bound methods) is hoisted to a local before the
-``while``.  A Python-level attribute or dict lookup inside the loop is
-paid once per dispatched event -- at ~400k events for a fig8 sweep,
-one stray ``self.x`` read is a measurable regression that no unit test
-catches and the wall-clock gate only catches noisily.
+fast drain loop in :meth:`Simulator.run` touches only locals per event:
+every attribute read (``self._heap``, ``heapq.heappop``, bound methods)
+is hoisted to a local before the ``while``.  A Python-level attribute
+or dict lookup inside the loop is paid once per dispatched event -- at
+~400k events for a fig8 sweep, one stray ``self.x`` read is a
+measurable regression that no unit test catches and the wall-clock
+gate only catches noisily.
 
 This rule pins the contract structurally: any ``a.b`` *load* inside
 the inner ``while`` of the scanned methods is a finding unless its
@@ -19,11 +19,10 @@ are list indexing, not dict lookups, and are exempt; subscripts on
 attribute chains (``self._heap[0]``) are caught via their inner
 attribute load.
 
-``_run_instrumented`` is deliberately not scanned: it is the slow twin
-(perturbation + dispatch logging) and trades per-event cost for
-observability by design.  ``step()`` is not scanned either -- the
-public single-step API pays its per-call lookups by nature; the drain
-loops exist precisely so ``run()`` does not go through it.
+``_run_controlled`` is deliberately not scanned: it is the controlled
+loop (race-detector perturbation and logging, panda-mc exploration)
+and trades per-event cost for a controller call per dispatch by
+design.
 
 Sanctioned lookups (the allowlist) carry their reasons inline in
 ``SANCTIONED``.  Anything new either gets hoisted or gets an entry
@@ -46,9 +45,9 @@ ENGINE_PATH = "src/repro/sim/engine.py"
 
 #: Simulator methods whose inner while-loop is held to the
 #: locals-only contract.
-SCANNED_METHODS = ("run", "_run_until")
+SCANNED_METHODS = ("run",)
 
-#: dotted attribute loads that are allowed inside the drain loops,
+#: dotted attribute loads that are allowed inside the drain loop,
 #: each with the reason it is exempt from hoisting.
 SANCTIONED = {
     # observability hook: the guard (`obs is not None`) tests a local;
@@ -59,9 +58,6 @@ SANCTIONED = {
     "unhandled.pop",
     # failure diagnostics inside the raise -- same branch as above
     "proc.name",
-    # _run_until put-back of the first not-yet-due entry: executed once
-    # per run() call, on the stop branch, never per event
-    "heapq.heappush",
 }
 
 
@@ -98,7 +94,7 @@ def _scan_method(fn: ast.FunctionDef) -> List[Finding]:
 
 
 def check_engine(root: Path) -> List[Finding]:
-    """Lint the engine's drain loops; returns PL007 findings."""
+    """Lint the engine's drain loop; returns PL007 findings."""
     path = root / ENGINE_PATH
     if not path.exists():
         return []

@@ -3,12 +3,13 @@
 Static lints cannot see every order-dependence, so this module attacks
 the invariant directly: the simulator's dispatch order among
 *same-timestamp, causally-unordered* events is an implementation
-detail, and no simulated result may depend on it.  The engine's
-perturbation mode (:meth:`repro.sim.engine.Simulator.
-enable_perturbation`) picks uniformly at random -- from a seeded PRNG
--- among every queued entry carrying the minimal timestamp.  Causality
-is preserved for free: an event only becomes a candidate after the
-event that scheduled it has run, and time never goes backwards.
+detail, and no simulated result may depend on it.  The detector runs
+each scenario under the engine's controlled loop with a
+:class:`PerturbController`, which logs every dispatch and, given a
+seed, picks uniformly at random -- from a seeded PRNG -- among every
+queued entry carrying the minimal timestamp.  Causality is preserved
+for free: an event only becomes a candidate after the event that
+scheduled it has run, and time never goes backwards.
 
 A *scenario* is a callable that builds a fresh simulation, runs one
 representative operation, and returns a :class:`ScenarioRun`: an exact
@@ -28,11 +29,13 @@ construction and must survive perturbation too).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Divergence",
+    "PerturbController",
     "RaceReport",
     "ScenarioRun",
     "Scenario",
@@ -42,6 +45,49 @@ __all__ = [
 
 #: (simulated time, dispatch label) -- one entry per dispatched event.
 DispatchLog = List[Tuple[float, str]]
+
+
+class PerturbController:
+    """The detector's dispatch controller (see
+    :meth:`repro.sim.engine.Simulator.enable_controller`): it records
+    ``(time, label)`` for every dispatched event in :attr:`log` and,
+    given a seed, picks uniformly at random among the same-instant
+    frontier.  The PRNG is drawn only when there is a real choice (more
+    than one candidate), so a seed names one fixed schedule.  Unseeded,
+    it picks the lowest seq -- exactly the fast loop's order."""
+
+    def __init__(self, seed: Optional[int] = None) -> None:
+        self._rng = random.Random(f"perturb:{seed}") if seed is not None else None
+        self.log: DispatchLog = []
+
+    def choose(self, t: float, frontier: List[Tuple[int, str]]) -> int:
+        if self._rng is None:
+            return min(range(len(frontier)), key=lambda i: frontier[i][0])
+        if len(frontier) > 1:
+            return self._rng.randrange(len(frontier))
+        return 0
+
+    def begin(self, t: float, seq: int, label: str) -> None:
+        self.log.append((t, label))
+
+    def end(self, pre_seq: int, post_seq: int) -> None:
+        pass
+
+    def note(self, obj: Any) -> None:
+        pass
+
+
+def _install(runtime: Any, perturb_seed: Optional[int],
+             instrument: Optional[Callable[[object], None]]) -> DispatchLog:
+    """Install one scenario run's dispatch controller and return the
+    live dispatch log.  An ``instrument`` hook (the model checker's)
+    installs its own controller instead; the log then stays empty."""
+    if instrument is not None:
+        instrument(runtime)
+        return []
+    ctl = PerturbController(perturb_seed)
+    runtime.sim.enable_controller(ctl)
+    return ctl.log
 
 
 @dataclass(frozen=True)
@@ -61,9 +107,11 @@ class Scenario:
     ``perturb_seed=None`` means the deterministic baseline order.
 
     Every scenario also accepts a keyword-only ``_instrument`` hook,
-    called with the fresh runtime before the run starts -- this is how
-    the model checker (:mod:`repro.analysis.mc`) installs its schedule
-    controller and finds the runtime again for quiescence checks.
+    called with the fresh runtime before the run starts *instead of*
+    installing a :class:`PerturbController` -- this is how the model
+    checker (:mod:`repro.analysis.mc`) installs its schedule controller
+    and finds the runtime again for quiescence checks.  The returned
+    log is empty then.
     """
 
     name: str
@@ -224,11 +272,7 @@ def _roundtrip_scenario(
                     g[a.memory_schema.chunk(i).region.slices()])
                 for i in range(n_compute)
             }}
-        log = runtime.sim.enable_dispatch_log()
-        if perturb_seed is not None:
-            runtime.sim.enable_perturbation(perturb_seed)
-        if _instrument is not None:
-            _instrument(runtime)
+        log = _install(runtime, perturb_seed, _instrument)
         result = runtime.run(write_read_roundtrip_app([a], name, data))
         fingerprint = tuple(
             f"{op.kind}:{op.elapsed.hex()}:{op.total_bytes}"
@@ -261,12 +305,7 @@ def _scheduled_scenario(
         live_log: List[DispatchLog] = []
 
         def hook(runtime: object) -> None:
-            sim = runtime.sim  # type: ignore[attr-defined]
-            live_log.append(sim.enable_dispatch_log())
-            if perturb_seed is not None:
-                sim.enable_perturbation(perturb_seed)
-            if _instrument is not None:
-                _instrument(runtime)
+            live_log.append(_install(runtime, perturb_seed, _instrument))
 
         result, stats = run_concurrent_writes(
             policy, n_apps=n_apps, n_compute=n_compute, n_io=n_io,
@@ -309,12 +348,7 @@ def _sharded_scenario(
         live_log: List[DispatchLog] = []
 
         def hook(runtime: object) -> None:
-            sim = runtime.sim  # type: ignore[attr-defined]
-            live_log.append(sim.enable_dispatch_log())
-            if perturb_seed is not None:
-                sim.enable_perturbation(perturb_seed)
-            if _instrument is not None:
-                _instrument(runtime)
+            live_log.append(_install(runtime, perturb_seed, _instrument))
 
         result, stats = run_concurrent_writes(
             "fair", n_apps=n_apps, n_io=n_io, size_mb=size_mb,
@@ -419,11 +453,7 @@ def _slo_scenario(
                      plan_formation_overhead=2e-4),
             config=PandaConfig(scheduler=sched), real_payloads=False,
         )
-        log = runtime.sim.enable_dispatch_log()
-        if perturb_seed is not None:
-            runtime.sim.enable_perturbation(perturb_seed)
-        if _instrument is not None:
-            _instrument(runtime)
+        log = _install(runtime, perturb_seed, _instrument)
         assignments = [(heavy_app(i), (i,)) for i in range(n_heavy)]
         assignments += [(small_app(j), (n_heavy + j,))
                         for j in range(n_small)]

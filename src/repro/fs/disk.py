@@ -114,8 +114,3 @@ class DiskModel:
                 )
         finally:
             self.arm.release()
-
-    def forget_head(self) -> None:
-        """Invalidate the head position (e.g. after a cache flush wrote
-        elsewhere); the next request pays a seek."""
-        self._head = None

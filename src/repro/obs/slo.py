@@ -175,24 +175,6 @@ class SLOTracker:
             return None
         return quantile(sorted(w.turnarounds), 0.99)
 
-    def turnaround_p50(self, tenant: int) -> Optional[float]:
-        w = self._tenants.get(tenant)
-        if w is None or not w.turnarounds:
-            return None
-        return quantile(sorted(w.turnarounds), 0.50)
-
-    def wait_p99(self, tenant: int) -> Optional[float]:
-        w = self._tenants.get(tenant)
-        if w is None or not w.waits:
-            return None
-        return quantile(sorted(w.waits), 0.99)
-
-    def wait_p50(self, tenant: int) -> Optional[float]:
-        w = self._tenants.get(tenant)
-        if w is None or not w.waits:
-            return None
-        return quantile(sorted(w.waits), 0.50)
-
     def exhausted(self, tenant: int, now: float) -> bool:
         """Strictly over budget (demotion threshold).  Never true
         without a budget, without ``min_history`` samples, or at a

@@ -130,10 +130,6 @@ class DataSchema:
         """Number of mesh positions (= chunks, some possibly empty)."""
         return self.mesh.size
 
-    @property
-    def full_region(self) -> Region:
-        return Region.from_shape(self.shape)
-
     def chunk_region(self, mesh_coords: Sequence[int]) -> Region:
         """The global region held by the given mesh position."""
         coords = tuple(mesh_coords)

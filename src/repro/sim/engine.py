@@ -45,6 +45,16 @@ choice the schedule-perturbation race detector
 (:mod:`repro.analysis.race`) explores and the golden determinism tests
 pin: simulated timings are bit-identical.
 
+There are exactly two dispatch loops.  :meth:`Simulator.run` is the
+fast one; it also serves ``run(until=...)``, whose stop check sits in
+the clock-advance branch.  :meth:`Simulator._run_controlled` is the
+controlled one, taken once a controller is installed through
+:meth:`Simulator.enable_controller`: the controller picks among the
+same-instant frontier at every step.  Perturbation and dispatch logging
+(:class:`repro.analysis.race.PerturbController`) and panda-mc's
+exploration (:class:`repro.analysis.hb.ScheduleController`) are both
+just controllers.
+
 The engine is single-threaded and re-entrant only through the event
 loop; callbacks must not call :meth:`Simulator.run`.
 """
@@ -52,7 +62,7 @@ loop; callbacks must not call :meth:`Simulator.run`.
 from __future__ import annotations
 
 import heapq
-import random
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -252,7 +262,7 @@ class Timeout(Event):
         if delay == 0.0:
             sim._post(self._fire, value)
         else:
-            sim._push(delay, self._fire, value)
+            sim._push(sim._now + delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:
         # succeed() with synchronous callbacks: _fire only ever runs as
@@ -493,7 +503,7 @@ class Simulator:
         self._free: List[Entry] = []
         self._seq = 0
         #: entries that took the heap (seq - pushes = fast-path count);
-        #: counter deltas are flushed to COUNTERS in batch at run/step
+        #: counter deltas are flushed to COUNTERS in batch at run
         #: exit rather than paying two global increments per event
         self._heap_pushes = 0
         self._ctr_seq = 0
@@ -506,27 +516,10 @@ class Simulator:
         #: anything, so simulated behaviour is bit-identical with or
         #: without it.
         self.obs: Optional[Any] = None
-        #: schedule-perturbation mode (see :mod:`repro.analysis.race`):
-        #: when set, :meth:`run` dispatches a uniformly random entry
-        #: among all queued entries carrying the minimal timestamp,
-        #: instead of the lowest sequence number.  Candidates are only
-        #: ever already-scheduled entries, so causal order (an event
-        #: scheduled by a callback cannot run before that callback) and
-        #: time order are both preserved -- any simulated-result change
-        #: under perturbation is an order-dependence bug.
-        self._perturb: Optional[random.Random] = None
-        #: optional dispatch log ``(time, label)`` per dispatched event,
-        #: used by the race detector to report diverging event pairs.
-        self.dispatch_log: Optional[List[Tuple[float, str]]] = None
-        #: controlled-schedule mode (see :mod:`repro.analysis.mc`): when
-        #: set, the model checker's controller picks which same-instant
-        #: entry dispatches next and observes the causal structure of
-        #: the run.  Mutually exclusive with ``_perturb``.
+        #: controlled-schedule mode (see :meth:`enable_controller`):
+        #: when set, :meth:`run` hands every same-instant dispatch
+        #: decision to this object instead of taking the lowest seq.
         self._control: Optional[Any] = None
-        #: footprint recorder for controlled runs: Store/Resource
-        #: operations call ``_mc_rec.note(obj)`` so the model checker
-        #: learns which shared objects each dispatched event touched.
-        self._mc_rec: Optional[Any] = None
         self._init_sentinel = _InitialResume(self)
         #: a shared, pre-triggered event: yielding it charges nothing
         #: and resumes the process inline.  Used by cost helpers
@@ -536,43 +529,28 @@ class Simulator:
         self.zero._triggered = True
         self.zero.callbacks = None
 
-    # -- schedule perturbation / dispatch recording ------------------------
-    def enable_perturbation(self, seed: int) -> None:
-        """Randomise same-timestamp dispatch order with a seeded PRNG
-        and start recording the dispatch log.  Must be called before
-        events are queued; only :mod:`repro.analysis.race` should use
-        this -- perturbed runs trade the fast path for instrumentation."""
-        if self._control is not None:
-            raise SimulationError("controller and perturbation are exclusive")
-        self._perturb = random.Random(f"perturb:{seed}")
-        if self.dispatch_log is None:
-            self.dispatch_log = []
-
-    def enable_dispatch_log(self) -> List[Tuple[float, str]]:
-        """Record ``(time, label)`` for every dispatched event (without
-        perturbing the order) and return the live log list."""
-        if self.dispatch_log is None:
-            self.dispatch_log = []
-        return self.dispatch_log
-
+    # -- controlled dispatch ------------------------------------------------
     def enable_controller(self, controller: Any) -> None:
-        """Hand same-instant dispatch decisions to ``controller`` (the
-        panda-mc explorer, see :mod:`repro.analysis.mc`).
+        """Hand same-instant dispatch decisions to ``controller``: the
+        race detector's perturbation/logging controller
+        (:class:`repro.analysis.race.PerturbController`) or the
+        panda-mc explorer (:class:`repro.analysis.hb.ScheduleController`).
 
         At every dispatch state the controller's ``choose(t, frontier)``
         is shown the full frontier of minimal-timestamp entries as
         ``(seq, label)`` pairs and returns the index to dispatch.
-        Around the dispatched callback it receives ``begin(t, seq,
-        label)`` and ``end(pre_seq, post_seq)`` -- the seq range of
-        entries the callback created, i.e. the causal parent edges --
-        and Store/Resource primitives report the shared objects they
-        touch through ``controller.note(obj)``.  Exclusive with
-        :meth:`enable_perturbation`; must be installed before events
-        are queued, like perturbation."""
-        if self._perturb is not None:
-            raise SimulationError("controller and perturbation are exclusive")
+        Candidates are only ever already-queued entries, so causal
+        order (an entry cannot run before the callback that queued it)
+        and time order are preserved whatever it picks.  Around the
+        dispatched callback it receives ``begin(t, seq, label)`` and
+        ``end(pre_seq, post_seq)`` -- the seq range of entries the
+        callback created, i.e. the causal parent edges -- and
+        Store/Resource primitives report the shared objects they touch
+        through ``controller.note(obj)``.  One controller per
+        simulator; install it before events are queued."""
+        if self._control is not None:
+            raise SimulationError("a dispatch controller is already installed")
         self._control = controller
-        self._mc_rec = controller
 
     def mc_note(self, key: Any) -> None:
         """Declare that the currently-dispatching event touches the
@@ -582,37 +560,24 @@ class Simulator:
         must call this for the model checker to see the conflict --
         see DESIGN.md section 16 for the soundness boundary.  No-op
         outside controlled runs, so it is free on the fast path."""
-        rec = self._mc_rec
-        if rec is not None:
-            rec.note(key)
-
-    @property
-    def _instrumented(self) -> bool:
-        return (
-            self._perturb is not None
-            or self.dispatch_log is not None
-            or self._control is not None
-        )
+        ctl = self._control
+        if ctl is not None:
+            ctl.note(key)
 
     @staticmethod
-    def _dispatch_label(callback: Callable[..., None]) -> str:
-        """A stable, content-based label for a queued callback: the
-        qualified name plus the owning object's ``name`` when it has
-        one (processes, named events).  Sequence numbers are *not*
-        included -- they are exactly what perturbation permutes."""
-        owner = getattr(callback, "__self__", None)
-        qualname = getattr(callback, "__qualname__", None) or repr(callback)
-        name = getattr(owner, "name", "")
-        return f"{qualname}[{name}]" if name else qualname
-
-    @classmethod
-    def _entry_label(cls, entry: Entry) -> str:
-        """:meth:`_dispatch_label` for a queued entry, unwrapping the
-        multi-arg trampoline."""
+    def _entry_label(entry: Entry) -> str:
+        """A stable, content-based label for a queued entry: the
+        callback's qualified name (unwrapping the multi-arg trampoline)
+        plus the owning object's ``name`` when it has one (processes,
+        named events).  Sequence numbers are *not* included -- they are
+        exactly what perturbation permutes."""
         cb = entry[2]
         if cb is _apply:
             cb = entry[3][0]
-        return cls._dispatch_label(cb)
+        owner = getattr(cb, "__self__", None)
+        qualname = getattr(cb, "__qualname__", None) or repr(cb)
+        name = getattr(owner, "name", "")
+        return f"{qualname}[{name}]" if name else qualname
 
     @property
     def now(self) -> float:
@@ -636,11 +601,10 @@ class Simulator:
         self._seq = seq + 1
         self._ready.append(e)
 
-    def _push(self, delay: float, callback: Callable[[Any], None], arg: Any) -> None:
-        """Queue ``callback(arg)`` after a positive ``delay`` (heap path)."""
+    def _push(self, t: float, callback: Callable[[Any], None], arg: Any) -> None:
+        """Queue ``callback(arg)`` at absolute time ``t > now`` (heap path)."""
         free = self._free
         seq = self._seq
-        t = self._now + delay
         if free:
             e = free.pop()
             e[0] = t
@@ -664,23 +628,7 @@ class Simulator:
         if delay == 0.0:
             self._post(callback, args[0])
         else:
-            self._push(delay, callback, args[0])
-
-    def _push_at(self, t: float, callback: Callable[[Any], None], arg: Any) -> None:
-        """Queue ``callback(arg)`` at absolute time ``t > now`` (heap path)."""
-        free = self._free
-        seq = self._seq
-        if free:
-            e = free.pop()
-            e[0] = t
-            e[1] = seq
-            e[2] = callback
-            e[3] = arg
-        else:
-            e = [t, seq, callback, arg]
-        self._seq = seq + 1
-        self._heap_pushes += 1
-        heapq.heappush(self._heap, e)
+            self._push(self._now + delay, callback, args[0])
 
     def schedule_at(self, t: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at *absolute* simulated time ``t``.
@@ -700,7 +648,7 @@ class Simulator:
         if t == self._now:
             self._post(callback, args[0])
         else:
-            self._push_at(t, callback, args[0])
+            self._push(t, callback, args[0])
 
     def wake_at(self, t: float, value: Any = None) -> "Event":
         """An event that triggers at exactly absolute time ``t >= now``
@@ -741,165 +689,89 @@ class Simulator:
         return Process(self, gen, name)
 
     # -- execution ---------------------------------------------------------
-    def _peek(self) -> Optional[Entry]:
-        """The next entry in global (time, seq) order, or None."""
-        ready, heap = self._ready, self._heap
-        if ready:
-            # seq is globally unique, so the list comparison never
-            # reaches the (incomparable) callback element
-            if heap and heap[0] < ready[0]:
-                return heap[0]
-            return ready[0]
-        return heap[0] if heap else None
-
-    def step(self) -> bool:
-        """Execute the next queued event.  Returns False when the queue
-        is empty."""
-        ready = self._ready
-        if ready:
-            heap = self._heap
-            if heap and heap[0] < ready[0]:
-                e = heapq.heappop(heap)
-            else:
-                e = ready.popleft()
-        elif self._heap:
-            e = heapq.heappop(self._heap)
-        else:
-            return False
-        t = e[0]
-        if t < self._now - 1e-15:
-            raise SimulationError("time went backwards")
-        if t > self._now:
-            self._now = t
-        callback = e[2]
-        arg = e[3]
-        e[2] = e[3] = None
-        self._free.append(e)
-        callback(arg)
-        if self.obs is not None:
-            self.obs.on_event(t)
-        self._flush_counters()
-        return True
-
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the event queue drains (or simulated time passes
-        ``until``).  Raises the first unhandled process exception, and
-        raises :class:`SimulationError` on deadlock (live processes but
-        no queued events).  Returns the final simulation time."""
-        if self._instrumented:
-            return self._run_instrumented(until)
-        if until is not None:
-            return self._run_until(until)
-        # The batched drain: everything loop-invariant lives in locals,
-        # entries cycle through the slab, and each iteration is one
-        # merged (time, seq) pop -- identical dispatch order to step().
-        ready, heap = self._ready, self._heap
-        unhandled = self._unhandled
-        obs = self.obs
-        pop = heapq.heappop
-        popleft = ready.popleft
-        free_append = self._free.append
-        now = self._now
-        try:
-            while True:
-                if ready:
-                    if heap and heap[0] < ready[0]:
+        """Run until the event queue drains, or until the next entry
+        lies past ``until`` (the clock then stops at ``until``).  Raises
+        the first unhandled process exception, and -- without
+        ``until`` -- raises :class:`SimulationError` on deadlock (live
+        processes but no queued events).  Returns the final simulation
+        time."""
+        if until is None:
+            stop = math.inf
+        elif until < self._now:
+            raise ValueError(f"run until the past: {until!r} < now {self._now!r}")
+        else:
+            stop = until
+        if self._control is not None:
+            now = self._run_controlled(stop)
+        else:
+            # The batched fast loop: everything loop-invariant lives in
+            # locals, entries cycle through the slab, and each iteration
+            # is one merged (time, seq) pop.  The stop check rides in
+            # the clock-advance branch -- an entry at t <= now <= stop
+            # is always due -- so it costs one compare per instant.
+            ready, heap = self._ready, self._heap
+            unhandled = self._unhandled
+            obs = self.obs
+            pop = heapq.heappop
+            push = heapq.heappush
+            popleft = ready.popleft
+            free_append = self._free.append
+            now = self._now
+            try:
+                while True:
+                    if ready:
+                        if heap and heap[0] < ready[0]:
+                            e = pop(heap)
+                        else:
+                            e = popleft()
+                    elif heap:
                         e = pop(heap)
                     else:
-                        e = popleft()
-                elif heap:
-                    e = pop(heap)
-                else:
-                    break
-                t = e[0]
-                if t > now:
-                    self._now = now = t
-                elif t < now - 1e-15:
-                    raise SimulationError("time went backwards")
-                cb = e[2]
-                arg = e[3]
-                e[2] = e[3] = None
-                free_append(e)
-                cb(arg)
-                if obs is not None:
-                    obs.on_event(t)
-                if unhandled:
-                    proc, exc = unhandled.pop(0)
-                    raise SimulationError(
-                        f"unhandled failure in process {proc.name!r}"
-                    ) from exc
-        finally:
-            self._flush_counters()
-        if self._live_processes > 0:
+                        break
+                    t = e[0]
+                    if t > now:
+                        if t > stop:
+                            # not due: put it back (only heap entries
+                            # lie in the future) and stop the clock
+                            push(heap, e)
+                            self._now = now = stop
+                            break
+                        self._now = now = t
+                    elif t < now - 1e-15:
+                        raise SimulationError("time went backwards")
+                    cb = e[2]
+                    arg = e[3]
+                    e[2] = e[3] = None
+                    free_append(e)
+                    cb(arg)
+                    if obs is not None:
+                        obs.on_event(t)
+                    if unhandled:
+                        proc, exc = unhandled.pop(0)
+                        raise SimulationError(
+                            f"unhandled failure in process {proc.name!r}"
+                        ) from exc
+            finally:
+                self._flush_counters()
+        if until is None and self._live_processes > 0:
             raise SimulationError(
                 f"deadlock: {self._live_processes} live process(es) but no "
                 "pending events"
             )
         return now
 
-    def _run_until(self, until: float) -> float:
-        """:meth:`run` with a stop time: per-entry due check, otherwise
-        the same merged (time, seq) dispatch."""
+    def _run_controlled(self, until: float) -> float:
+        """The controlled loop: the installed controller picks the
+        dispatch among all queued entries carrying the minimal
+        timestamp at *every* state -- including single-candidate
+        frontiers, which panda-mc may veto as redundant by raising --
+        and observes each step's causal children via the seq range
+        created during the callback.  A controller that always picks
+        the lowest seq reproduces the fast loop's order exactly."""
         ready, heap = self._ready, self._heap
-        unhandled = self._unhandled
-        obs = self.obs
-        pop = heapq.heappop
-        popleft = ready.popleft
-        free_append = self._free.append
-        now = self._now
-        try:
-            while heap or ready:
-                if ready:
-                    if heap and heap[0] < ready[0]:
-                        e = pop(heap)
-                    else:
-                        e = popleft()
-                else:
-                    e = pop(heap)
-                t = e[0]
-                if t > until:
-                    # not due yet: put it back (the heap orders by the
-                    # same (time, seq) key wherever the entry came
-                    # from) and stop
-                    heapq.heappush(heap, e)
-                    self._now = until
-                    break
-                if t > now:
-                    self._now = now = t
-                elif t < now - 1e-15:
-                    raise SimulationError("time went backwards")
-                cb = e[2]
-                arg = e[3]
-                e[2] = e[3] = None
-                free_append(e)
-                cb(arg)
-                if obs is not None:
-                    obs.on_event(t)
-                if unhandled:
-                    proc, exc = unhandled.pop(0)
-                    raise SimulationError(
-                        f"unhandled failure in process {proc.name!r}"
-                    ) from exc
-        finally:
-            self._flush_counters()
-        return self._now
-
-    def _run_instrumented(self, until: Optional[float] = None) -> float:
-        """The slow twin of :meth:`run`: optional same-timestamp random
-        dispatch (``_perturb``) and per-event logging (``dispatch_log``).
-
-        With ``_perturb`` unset this dispatches in exactly the normal
-        global (time, seq) order -- candidate 0 below *is* the entry the
-        fast loop would pop -- so a logged baseline run stays
-        With a controller installed (:meth:`enable_controller`) the
-        controller picks the dispatch at *every* state -- including
-        single-candidate frontiers, which it may veto as redundant by
-        raising -- and observes each step's causal children via the seq
-        range created during the callback."""
-        ready, heap = self._ready, self._heap
-        rng = self._perturb
         ctl = self._control
-        log = self.dispatch_log
+        label = self._entry_label
         try:
             while heap or ready:
                 # all queued entries carrying the minimal timestamp: the
@@ -909,7 +781,7 @@ class Simulator:
                     t0 = min(ready[0][0], heap[0][0]) if heap else ready[0][0]
                 else:
                     t0 = heap[0][0]
-                if until is not None and t0 > until:
+                if t0 > until:
                     self._now = until
                     break
                 candidates: List[Entry] = []
@@ -917,14 +789,9 @@ class Simulator:
                     candidates.append(ready.popleft())
                 while heap and heap[0][0] == t0:
                     candidates.append(heapq.heappop(heap))
-                if ctl is not None:
-                    frontier = [(e[1], self._entry_label(e)) for e in candidates]
-                    entry = candidates.pop(ctl.choose(t0, frontier))
-                elif rng is not None and len(candidates) > 1:
-                    entry = candidates.pop(rng.randrange(len(candidates)))
-                else:
-                    entry = min(candidates, key=lambda e: e[1])
-                    candidates.remove(entry)
+                frontier = [(e[1], label(e)) for e in candidates]
+                idx = ctl.choose(t0, frontier)
+                entry = candidates.pop(idx)
                 for other in candidates:
                     heapq.heappush(heap, other)
                 t = entry[0]
@@ -932,18 +799,10 @@ class Simulator:
                     self._now = t
                 elif t < self._now - 1e-15:
                     raise SimulationError("time went backwards")
-                if log is not None:
-                    cb = entry[2]
-                    if cb is _apply:  # unwrap packed multi-arg schedules
-                        cb = entry[3][0]
-                    log.append((t, self._dispatch_label(cb)))
-                if ctl is not None:
-                    ctl.begin(t, entry[1], self._entry_label(entry))
-                    pre_seq = self._seq
-                    entry[2](entry[3])
-                    ctl.end(pre_seq, self._seq)
-                else:
-                    entry[2](entry[3])
+                ctl.begin(t, entry[1], frontier[idx][1])
+                pre_seq = self._seq
+                entry[2](entry[3])
+                ctl.end(pre_seq, self._seq)
                 if self.obs is not None:
                     self.obs.on_event(t)
                 if self._unhandled:
@@ -953,11 +812,6 @@ class Simulator:
                     ) from exc
         finally:
             self._flush_counters()
-        if until is None and self._live_processes > 0:
-            raise SimulationError(
-                f"deadlock: {self._live_processes} live process(es) but no "
-                "pending events"
-            )
         return self._now
 
     def run_process(self, gen: ProcessGenerator, name: str = "") -> Any:

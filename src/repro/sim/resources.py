@@ -83,9 +83,9 @@ class Resource:
 
     def acquire(self) -> Event:
         """Return an event that fires when a server slot is granted."""
-        rec = self.sim._mc_rec
-        if rec is not None:  # controlled runs: record the footprint
-            rec.note(self)
+        ctl = self.sim._control
+        if ctl is not None:  # controlled runs: record the footprint
+            ctl.note(self)
         if self._in_use < self.capacity and not self._waiters:
             # uncontended grant: hand back the shared already-triggered
             # event (succeed() on a waiter-less event only sets that
@@ -106,9 +106,9 @@ class Resource:
 
     def release(self) -> None:
         """Release one held slot, waking the next FIFO waiter if any."""
-        rec = self.sim._mc_rec
-        if rec is not None:
-            rec.note(self)
+        ctl = self.sim._control
+        if ctl is not None:
+            ctl.note(self)
         in_use = self._in_use
         if in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
@@ -128,9 +128,9 @@ class Resource:
         already granted -- the grant can race the interrupt within one
         instant -- it is released instead, so a dead process can never
         pin a shared resource."""
-        rec = self.sim._mc_rec
-        if rec is not None:
-            rec.note(self)
+        ctl = self.sim._control
+        if ctl is not None:
+            ctl.note(self)
         try:
             self._waiters.remove(ev)
         except ValueError:
@@ -169,9 +169,9 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        rec = self.sim._mc_rec
-        if rec is not None:  # controlled runs: record the footprint
-            rec.note(self)
+        ctl = self.sim._control
+        if ctl is not None:  # controlled runs: record the footprint
+            ctl.note(self)
         items = self._items
         items.append(item)
         getters = self._getters
@@ -191,9 +191,9 @@ class Store:
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
         """Return an event that fires with the oldest matching item."""
-        rec = self.sim._mc_rec
-        if rec is not None:
-            rec.note(self)
+        ctl = self.sim._control
+        if ctl is not None:
+            ctl.note(self)
         ev = Event(self.sim, self._get_name)
         items = self._items
         if items and not self._getters:
@@ -241,9 +241,9 @@ class Store:
         :mod:`repro.mpi` guarantees this -- a rank is a single process,
         so it is either blocked in ``recv`` or polling, never both.)
         """
-        rec = self.sim._mc_rec
-        if rec is not None:
-            rec.note(self)
+        ctl = self.sim._control
+        if ctl is not None:
+            ctl.note(self)
         for idx, item in enumerate(self._items):
             if predicate is None or predicate(item):
                 del self._items[idx]
@@ -258,9 +258,9 @@ class Store:
         queued for a dead process are lost with it, and its registered
         getters must not steal deliveries meant for the reborn process.
         Only call this when no live process is blocked on the store."""
-        rec = self.sim._mc_rec
-        if rec is not None:
-            rec.note(self)
+        ctl = self.sim._control
+        if ctl is not None:
+            ctl.note(self)
         dropped = len(self._items)
         self._items.clear()
         self._getters.clear()
@@ -273,9 +273,9 @@ class Store:
         Without this, a later matching item would be consumed by -- and
         lost to -- an event nobody waits on any more.  No-op when the
         getter was already satisfied or never registered."""
-        rec = self.sim._mc_rec
-        if rec is not None:
-            rec.note(self)
+        ctl = self.sim._control
+        if ctl is not None:
+            ctl.note(self)
         for idx, (pending, _pred) in enumerate(self._getters):
             if pending is ev:
                 del self._getters[idx]

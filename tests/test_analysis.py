@@ -24,7 +24,13 @@ from repro.analysis.findings import (
     load_allowlist,
 )
 from repro.analysis.protocol_check import check_sources, check_tree, parse_tags
-from repro.analysis.race import Scenario, ScenarioRun, detect, panda_scenarios
+from repro.analysis.race import (
+    PerturbController,
+    Scenario,
+    ScenarioRun,
+    detect,
+    panda_scenarios,
+)
 from repro.sim.engine import Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -491,9 +497,8 @@ def _racy_toy(perturb_seed: Optional[int]) -> ScenarioRun:
     """Two same-timestamp, causally-unordered, non-commutative updates:
     the result depends on dispatch order -- a race by construction."""
     sim = Simulator()
-    log = sim.enable_dispatch_log()
-    if perturb_seed is not None:
-        sim.enable_perturbation(perturb_seed)
+    ctl = PerturbController(perturb_seed)
+    sim.enable_controller(ctl)
     state = {"x": 1.0}
 
     def double() -> None:
@@ -505,14 +510,13 @@ def _racy_toy(perturb_seed: Optional[int]) -> ScenarioRun:
     sim.schedule(1.0, double)
     sim.schedule(1.0, add_three)
     sim.run()
-    return ScenarioRun((state["x"].hex(),), tuple(log))
+    return ScenarioRun((state["x"].hex(),), tuple(ctl.log))
 
 
 def _commutative_toy(perturb_seed: Optional[int]) -> ScenarioRun:
     sim = Simulator()
-    log = sim.enable_dispatch_log()
-    if perturb_seed is not None:
-        sim.enable_perturbation(perturb_seed)
+    ctl = PerturbController(perturb_seed)
+    sim.enable_controller(ctl)
     state = {"x": 0.0}
 
     def bump() -> None:
@@ -521,7 +525,7 @@ def _commutative_toy(perturb_seed: Optional[int]) -> ScenarioRun:
     for _ in range(4):
         sim.schedule(1.0, bump)
     sim.run()
-    return ScenarioRun((state["x"].hex(),), tuple(log))
+    return ScenarioRun((state["x"].hex(),), tuple(ctl.log))
 
 
 class TestRaceDetector:
@@ -545,13 +549,14 @@ class TestRaceDetector:
         assert report.runs == 5
 
     def test_logged_baseline_equals_unlogged_run(self):
-        """enable_dispatch_log alone must not change dispatch order:
-        the instrumented loop's unperturbed choice is exactly the fast
-        loop's (time, seq) order."""
+        """The unseeded controller only logs: the controlled loop then
+        dispatches in exactly the fast loop's (time, seq) order, and
+        the log records that order."""
         plain = Simulator()
         vals = []
         logged = Simulator()
-        logged.enable_dispatch_log()
+        ctl = PerturbController()
+        logged.enable_controller(ctl)
         lvals = []
         for i in range(5):
             plain.schedule(0.5, vals.append, i)
@@ -561,6 +566,8 @@ class TestRaceDetector:
         plain.run()
         logged.run()
         assert vals == lvals
+        assert len(ctl.log) == 10
+        assert all(t == 0.5 for t, _label in ctl.log)
 
     def test_panda_scenarios_survive_perturbation(self):
         """Representative ops (natural + reorganizing schema) are
@@ -662,10 +669,11 @@ class TestHotPathRule:
         assert findings == []
 
     def test_unscanned_methods_are_ignored(self, tmp_path):
-        # _run_instrumented is the slow twin by design
+        # _run_controlled is the controlled loop: per-event cost is
+        # its trade by design
         findings = self._check(tmp_path, """
             class Simulator:
-                def _run_instrumented(self):
+                def _run_controlled(self):
                     while True:
                         e = self._heap[0]
         """)

@@ -1,16 +1,16 @@
 """panda-mc: the controlled scheduler, the sleep-set explorer, and the
 happens-before machinery.
 
-The load-bearing claims each get a direct test: the controller is
-mutually exclusive with perturbation (both would own the dispatch
-order); the racy fixture must yield a PL201 naming the exact racing
-pair; an independent pair must collapse to one schedule under
-reduction but two under brute force; the real scenarios' schedule
-spaces are pinned (a regression here means the engine's branching
-structure changed -- re-measure, don't delete); and the property test
-checks the reducer against brute-force ground truth: on random toy
-producer/consumer workloads, reduced exploration completes *exactly*
-the set of distinct Mazurkiewicz traces -- none twice, none missed.
+The load-bearing claims each get a direct test: a simulator takes one
+controller only (two would both own the dispatch order); the racy
+fixture must yield a PL201 naming the exact racing pair; an
+independent pair must collapse to one schedule under reduction but
+two under brute force; the real scenarios' schedule spaces are pinned
+(a regression here means the engine's branching structure changed --
+re-measure, don't delete); and the property test checks the reducer
+against brute-force ground truth: on random toy producer/consumer
+workloads, reduced exploration completes *exactly* the set of
+distinct Mazurkiewicz traces -- none twice, none missed.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -41,16 +41,15 @@ from repro.sim.resources import Store
 # -- engine-side hooks ------------------------------------------------------
 
 class TestControllerHooks:
-    def test_controller_and_perturbation_are_exclusive(self):
+    def test_second_controller_raises(self):
+        # one controller owns the dispatch order: the race detector's
+        # perturbation controller and the explorer cannot stack
+        from repro.analysis.race import PerturbController
+
         sim = Simulator()
-        sim.enable_perturbation(7)
+        sim.enable_controller(PerturbController(7))
         with pytest.raises(SimulationError):
             sim.enable_controller(ScheduleController())
-
-        sim2 = Simulator()
-        sim2.enable_controller(ScheduleController())
-        with pytest.raises(SimulationError):
-            sim2.enable_perturbation(7)
 
     def test_mc_note_is_a_noop_without_a_controller(self):
         sim = Simulator()

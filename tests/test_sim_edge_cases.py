@@ -138,9 +138,22 @@ def test_run_until_exact_event_time_executes_event():
     assert fired == [5.0]
 
 
-def test_step_returns_false_on_empty_queue():
+def test_run_until_the_past_raises_and_keeps_the_clock():
     sim = Simulator()
-    assert sim.step() is False
+    fired = []
+
+    def proc(sim):
+        yield sim.timeout(10.0)
+        yield sim.timeout(5.0)
+        fired.append(sim.now)
+
+    sim.spawn(proc(sim))
+    assert sim.run(until=10.0) == 10.0
+    with pytest.raises(ValueError):
+        sim.run(until=4.0)
+    assert sim.now == 10.0
+    sim.run()
+    assert fired == [15.0]
 
 
 def test_immediate_process_completion():

@@ -391,13 +391,20 @@ def test_discard_callback_by_identity_mid_list():
 
 
 def test_dispatch_order_identical_across_run_modes():
+    """The fast loop, the fast loop stopped and resumed at arbitrary
+    ``until`` points, and the controlled loop under the unseeded race
+    controller all dispatch in the same (time, seq) order."""
     from hypothesis import given, settings, strategies as st
+
+    from repro.analysis.race import PerturbController
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                               st.integers(0, 3)),
-                    min_size=1, max_size=25))
-    def check(plan):
+                    min_size=1, max_size=25),
+           st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5]),
+                    max_size=6))
+    def check(plan, splits):
         def execute(mode):
             sim = Simulator()
             order = []
@@ -414,22 +421,59 @@ def test_dispatch_order_identical_across_run_modes():
                         sim.schedule(0.5, make_cb((ident, 1), 0), None)
                 return cb
 
+            if mode == "controlled":
+                sim.enable_controller(PerturbController())
             for i, (delay, children) in enumerate(plan):
                 sim.schedule(delay, make_cb(i, children), None)
-            if mode == "run":
-                sim.run()
-            elif mode == "step":
-                while sim.step():
-                    pass
-            else:  # instrumented: run() routes through _run_instrumented
-                sim.enable_dispatch_log()
-                sim.run()
+            if mode == "until":
+                for u in sorted(splits):
+                    assert sim.run(until=u) <= u
+            sim.run()
             return order
 
-        runs = [execute(m) for m in ("run", "step", "instrumented")]
+        runs = [execute(m) for m in ("run", "until", "controlled")]
         assert runs[0] == runs[1] == runs[2]
 
     check()
+
+
+def test_perturbed_dispatch_order_is_pinned():
+    """One PRNG draw per multi-candidate frontier, none for a single
+    candidate: seed 7 names exactly this schedule of a small
+    same-instant toy, so a change to when the controller draws shows
+    up here rather than as drift in protocol event counts."""
+    from repro.analysis.race import PerturbController
+
+    def toy(controller):
+        sim = Simulator()
+        if controller is not None:
+            sim.enable_controller(controller)
+        order = []
+
+        def cb(tag, zero=(), later=()):
+            def f(_arg):
+                order.append(tag)
+                for z in zero:
+                    sim.schedule(0.0, cb(z), None)
+                for d, z in later:
+                    sim.schedule(d, cb(z), None)
+            return f
+
+        sim.schedule(0.0, cb("a", zero=("a1",), later=((1.0, "e"),)), None)
+        sim.schedule(1.0, cb("b", zero=("b1", "b2")), None)
+        sim.schedule(1.0, cb("c", later=((1.0, "c1"),)), None)
+        sim.schedule(1.0, cb("d"), None)
+        sim.schedule(2.0, cb("f"), None)
+        sim.schedule(2.0, cb("g", zero=("g1",)), None)
+        sim.run()
+        return order
+
+    assert toy(PerturbController(7)) == [
+        "a", "a1", "e", "c", "b", "b2", "b1", "d", "c1", "f", "g", "g1",
+    ]
+    assert toy(None) == toy(PerturbController()) == [
+        "a", "a1", "b", "c", "d", "e", "b1", "b2", "f", "g", "c1", "g1",
+    ]
 
 
 def test_schedule_at_lands_on_the_exact_float():
