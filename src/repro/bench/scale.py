@@ -1,6 +1,6 @@
 """Many-tenant admission-plane workloads for the scale-out sweep.
 
-One runner shared by ``benchmarks/bench_scale.py`` and the scale tests:
+One runner shared by ``python -m repro bench scale`` and the scale tests:
 ``n_ops`` single-rank tenants, each collectively writing one private
 8 KB dataset, arrive at a fixed rate against ``n_io`` shared I/O nodes
 whose admission plane is partitioned over ``n_shards`` shard masters.

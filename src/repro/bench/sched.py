@@ -1,7 +1,7 @@
 """Concurrent multi-application workloads for the inter-op scheduler.
 
 One runner shared by ``python -m repro sched``,
-``benchmarks/bench_scheduler.py`` and the scheduler test suite: split
+``python -m repro bench scheduler`` and the scheduler test suite: split
 the compute nodes into ``n_apps`` disjoint client groups, each writing
 its own array to the shared I/O nodes, scheduled by the policy under
 test (or by the paper's one-op-at-a-time loop when ``policy`` is None).

@@ -25,7 +25,7 @@ paper) and data nodes.  Crash-cycle writes recover through the PR 2/7
 machinery: relocation for lost data-plane portions, owner failover for
 a dead shard master's queue.
 
-The drill's SLOs, asserted by ``benchmarks/bench_soak.py``:
+The drill's SLOs, asserted by ``python -m repro bench soak --check``:
 
 - **integrity** -- zero byte mismatches over every (tenant, cycle)
   read-back;
@@ -38,7 +38,7 @@ The drill's SLOs, asserted by ``benchmarks/bench_soak.py``:
   tenants' p99 turnaround within budget while ``fifo`` violates it.
 
 Everything is a pure function of the parameters: no wall clock, no
-unseeded randomness.  ``bench_soak.py --check`` exact-matches the
+unseeded randomness.  ``repro bench soak --check`` exact-matches the
 committed numbers, and tests rerun a small drill twice asserting
 identical output.
 """

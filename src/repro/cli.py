@@ -14,6 +14,7 @@ Usage::
     python -m repro race --seeds 5           # schedule-perturbation sweep
     python -m repro sched --apps 4 --policy all \\
                                              # concurrent-op scheduler demo
+    python -m repro bench --smoke --check    # the committed bench gates
 
 Everything prints the same tables the benchmark suite publishes to
 ``benchmarks/results.txt``.
@@ -351,7 +352,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
     """Soak + failover drill: one runtime through repeated load cycles
     with a mid-storm server crash in each interior cycle, checking
     byte-exact read-back and the admission-wait SLOs (see
-    :mod:`repro.bench.soak`; ``benchmarks/bench_soak.py`` runs the
+    :mod:`repro.bench.soak`; ``python -m repro bench soak`` runs the
     committed full-hour version)."""
     from repro.bench.soak import run_slo_comparison, run_soak_drill
 
@@ -381,6 +382,15 @@ def cmd_soak(args: argparse.Namespace) -> int:
               f"{cmp_['slo']['shed']} shed); fifo small p99 "
               f"{cmp_['fifo']['small_p99']:.3f} s")
     return 0 if ok else 1
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
+    """The committed bench gates (:mod:`repro.bench.suites`): run, and
+    check against or update each suite's ``BENCH_<name>.json``."""
+    from repro.bench.suites import run_bench
+
+    return run_bench(args.names, smoke=args.smoke, check=args.check,
+                     update=args.update, out=args.out)
 
 
 def cmd_replay_record(args: argparse.Namespace) -> int:
@@ -612,6 +622,28 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run the slo-vs-fifo enforcement "
                              "comparison workload")
     p_soak.set_defaults(func=cmd_soak)
+
+    p_bench = sub.add_parser(
+        "bench",
+        help="run the committed bench suites (scheduler, scale, soak, "
+             "storm, wallclock); --check gates them against their "
+             "BENCH_<name>.json (exit 1 on any failure)",
+    )
+    p_bench.add_argument("names", nargs="*", metavar="NAME",
+                         help="suites to run (default: every suite)")
+    p_bench.add_argument("--smoke", action="store_true",
+                         help="run each suite's quick subset")
+    mode = p_bench.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="compare against the committed BENCH_*.json "
+                           "and check each suite's properties")
+    mode.add_argument("--update", action="store_true",
+                      help="write this run's points into the committed "
+                           "BENCH_*.json")
+    p_bench.add_argument("--out", metavar="PATH",
+                         help="also write {suite: points} of this run as "
+                              "one JSON file (CI artifact)")
+    p_bench.set_defaults(func=cmd_bench)
 
     p_replay = sub.add_parser(
         "replay",

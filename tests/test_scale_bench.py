@@ -1,6 +1,6 @@
 """The many-tenant scale runner (`repro.bench.scale`).
 
-The full sweep lives in ``benchmarks/bench_scale.py`` and is gated in
+The full sweep runs as ``python -m repro bench scale`` and is gated in
 CI against the committed ``BENCH_scale.json``; here we pin the
 runner's contract at toy size: every tenant completes, the metrics are
 internally consistent, shards actually split the work, and the run is

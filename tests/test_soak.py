@@ -5,7 +5,7 @@ The drill's whole value is that it is *reproducible* stress: the same
 parameters must yield the bit-identical metrics dict however often it
 is rerun, or a flushed-out bug could never be bisected.  Sizes here
 are small (the committed full hour lives in BENCH_soak.json, gated by
-``bench_soak.py --check``); the properties are the same.
+``python -m repro bench soak --check``); the properties are the same.
 """
 
 import pytest
