@@ -8,7 +8,10 @@ a stateless depth-first search over every same-instant dispatch
 decision, pruned by sleep-set partial-order reduction so exactly one
 execution per Mazurkiewicz trace is completed (two interleavings that
 only swap adjacent *independent* dispatches are the same trace and
-provably produce the same result; see DESIGN.md section 16).
+provably produce the same result; see DESIGN.md section 16).  Its
+scenarios are committed corpus traces (:data:`MC_TRACES`), each
+replayed on a fresh runtime under the controller, with the race
+detector's :class:`~repro.analysis.race.Scenario` type.
 
 Replay-from-prefix needs no snapshotting: the simulator is fully
 deterministic, so re-running the scenario while forcing the recorded
@@ -36,54 +39,26 @@ code 3) rather than running unbounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.analysis.hb import (
-    Decision,
-    ReplayDivergence,
-    ScheduleController,
-    SleepBlocked,
-)
-from repro.analysis.race import (
-    ScenarioRun,
-    _roundtrip_scenario,
-    _scheduled_scenario,
-    _sharded_scenario,
-)
-from repro.sim.engine import SimulationError
+from repro.analysis.hb import Decision, ReplayDivergence, ScheduleController
+from repro.analysis.race import Outcome, Scenario, corpus_scenarios, guarded
 
 __all__ = [
+    "MC_TRACES",
     "MCFinding",
     "MCReport",
-    "MCScenario",
-    "Outcome",
     "ScenarioResult",
     "explore",
-    "mc_scenarios",
     "racy_fixture_scenario",
     "run_mc",
 ]
 
-
-@dataclass
-class Outcome:
-    """What one controlled execution of a scenario produced."""
-
-    status: str  #: complete | sleep-blocked | deadlock | error
-    fingerprint: Optional[Tuple[str, ...]] = None
-    orphans: int = 0  #: messages left in mailboxes at quiescence
-    error: str = ""
-
-
-@dataclass(frozen=True)
-class MCScenario:
-    """A scenario the model checker can drive: ``run(controller)``
-    builds everything fresh, installs the controller on the simulator
-    (``sim.enable_controller``), runs to quiescence, and returns an
-    :class:`Outcome`."""
-
-    name: str
-    run: Callable[[ScheduleController], Outcome]
+#: the corpus traces small enough to explore exhaustively: a write+read
+#: roundtrip, scheduled concurrent writes under each policy, and
+#: sharded admission.
+MC_TRACES = ("mc-roundtrip", "mc-sched-fifo", "mc-sched-sjf",
+             "mc-sched-fair", "mc-sharded-2")
 
 
 @dataclass(frozen=True)
@@ -267,7 +242,7 @@ def _sleep_at(ctl: ScheduleController, dec: Decision) -> Dict[int, FrozenSet]:
 
 
 def explore(
-    scenario: MCScenario,
+    scenario: Scenario,
     max_schedules: int = 20000,
     reduce: bool = True,
 ) -> ScenarioResult:
@@ -463,63 +438,10 @@ def _divergence_finding(
     )
 
 
-# -- scenario adapters ---------------------------------------------------------
+# -- scenarios -----------------------------------------------------------------
 
 
-def _adapt(race_scenario) -> MCScenario:
-    """Wrap a race-detector scenario for controlled exploration."""
-
-    def run(ctl: ScheduleController) -> Outcome:
-        holder: dict = {}
-
-        def instrument(runtime: object) -> None:
-            holder["runtime"] = runtime
-            runtime.sim.enable_controller(ctl)  # type: ignore[attr-defined]
-
-        try:
-            sr: ScenarioRun = race_scenario.run(None, _instrument=instrument)
-        except SleepBlocked:
-            return Outcome("sleep-blocked")
-        except SimulationError as exc:
-            kind = "deadlock" if str(exc).startswith("deadlock") else "error"
-            return Outcome(kind, error=str(exc))
-        orphans = 0
-        runtime = holder.get("runtime")
-        network = getattr(runtime, "network", None)
-        if network is not None:
-            orphans = sum(len(mb) for mb in network.mailboxes)
-        return Outcome("complete", fingerprint=sr.fingerprint, orphans=orphans)
-
-    return MCScenario(race_scenario.name, run)
-
-
-def mc_scenarios() -> List[MCScenario]:
-    """The exhaustive-check set: the race sweep's traffic shapes at
-    configurations small enough to enumerate completely -- a write+read
-    roundtrip, scheduled concurrent writes under each policy, and
-    sharded admission."""
-    scheduled = [
-        _adapt(_scheduled_scenario(
-            policy, n_apps=4, n_compute=4, n_io=1, size_mb=16,
-            max_in_flight=2, name=f"mc-sched-{policy}",
-        ))
-        for policy in ("fifo", "sjf", "fair")
-    ]
-    return [
-        _adapt(_roundtrip_scenario(
-            "mc-roundtrip", reorganize=False, faults=None,
-            real_payloads=True, shape=(8, 6), mem_shape=(2, 2),
-            disk_shape=(2,), n_io=2,
-        )),
-        *scheduled,
-        _adapt(_sharded_scenario(
-            2, n_apps=4, n_compute=4, n_io=2, size_mb=16,
-            name="mc-sharded-2",
-        )),
-    ]
-
-
-def racy_fixture_scenario() -> MCScenario:
+def racy_fixture_scenario() -> Scenario:
     """A known-racy fixture: two same-instant callbacks append to a
     shared list, and the scenario's result is the append order.  The
     callbacks declare the shared list via ``sim.mc_note``, so the
@@ -527,6 +449,7 @@ def racy_fixture_scenario() -> MCScenario:
     PL201 divergence naming this pair."""
     from repro.sim.engine import Simulator
 
+    @guarded
     def run(ctl: ScheduleController) -> Outcome:
         sim = Simulator()
         sim.enable_controller(ctl)
@@ -547,26 +470,23 @@ def racy_fixture_scenario() -> MCScenario:
             sim.schedule(0.5, writer_b, None)
 
         sim.schedule(0.0, spark, None)
-        try:
-            sim.run()
-        except SleepBlocked:
-            return Outcome("sleep-blocked")
-        except SimulationError as exc:
-            kind = "deadlock" if str(exc).startswith("deadlock") else "error"
-            return Outcome(kind, error=str(exc))
+        sim.run()
         return Outcome("complete", fingerprint=tuple(out))
 
-    return MCScenario("racy-fixture", run)
+    return Scenario("racy-fixture", run)
 
 
 def run_mc(
-    scenarios: Optional[Sequence[MCScenario]] = None,
+    scenarios: Optional[Sequence[Scenario]] = None,
     max_schedules: int = 20000,
     reduce: bool = True,
 ) -> MCReport:
-    """Explore every scenario and collect the report."""
+    """Explore every scenario (default: the :data:`MC_TRACES` corpus
+    traces) and collect the report."""
+    if scenarios is None:
+        scenarios = corpus_scenarios(MC_TRACES)
     report = MCReport(budget=max_schedules)
-    for scenario in scenarios if scenarios is not None else mc_scenarios():
+    for scenario in scenarios:
         report.results.append(
             explore(scenario, max_schedules=max_schedules, reduce=reduce)
         )

@@ -76,8 +76,8 @@ def run_concurrent_writes(
     baseline).  ``stagger`` seconds of per-group startup computation
     (group *i* computes ``i * stagger``) make REQUEST arrival order
     causal rather than a dispatch-order coincidence.  ``runtime_hook``
-    is called with the runtime before the run starts (the race detector
-    uses it to instrument the simulator).  ``n_shards > 1`` partitions
+    is called with the runtime before the run starts (the corpus
+    recipes attach a trace recorder there).  ``n_shards > 1`` partitions
     admission across that many shard masters (scheduled runs only).
     """
     if n_apps < 1 or n_compute % n_apps:

@@ -247,21 +247,21 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_race(args: argparse.Namespace) -> int:
-    """Schedule-perturbation race detector over the representative op
-    set; any divergence across seeds is a latent order-dependence."""
+    """Schedule-perturbation race detector over every committed corpus
+    trace; any divergence across seeds is a latent order-dependence."""
     import json
 
-    from repro.analysis.race import detect, panda_scenarios
+    from repro.analysis.race import corpus_scenarios, detect
 
     seeds = tuple(range(1, args.seeds + 1))
-    report = detect(panda_scenarios(with_faults=not args.no_faults),
-                    seeds=seeds)
+    report = detect(corpus_scenarios(), seeds=seeds)
     if args.format == "json":
         print(json.dumps({
             "ok": report.ok,
             "scenarios": report.scenarios,
             "seeds": list(report.seeds),
             "runs": report.runs,
+            "divergent": [list(p) for p in report.divergent],
             "divergences": [d.describe() for d in report.divergences],
         }, indent=1))
     else:
@@ -271,15 +271,16 @@ def cmd_race(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     """panda-mc: exhaustively enumerate every non-equivalent dispatch
-    schedule of the small-configuration scenario set and check each for
+    schedule of the ``mc-*`` corpus traces and check each for
     divergence, deadlock, and orphan messages.  Exit 0: clean and
     exhaustive; 1: findings; 3: clean but the budget cut the search
     short."""
     import json
 
-    from repro.analysis.mc import mc_scenarios, racy_fixture_scenario, run_mc
+    from repro.analysis.mc import MC_TRACES, racy_fixture_scenario, run_mc
+    from repro.analysis.race import corpus_scenarios
 
-    scenarios = mc_scenarios()
+    scenarios = corpus_scenarios(MC_TRACES)
     if args.racy_fixture:
         scenarios.append(racy_fixture_scenario())
     if args.scenario:
@@ -547,13 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_race = sub.add_parser(
         "race",
-        help="schedule-perturbation race detector over representative "
-             "ops (exit 1 on any divergence)",
+        help="schedule-perturbation race detector over the committed "
+             "trace corpus (exit 1 on any divergence)",
     )
     p_race.add_argument("--seeds", type=int, default=5,
                         help="number of perturbation seeds (default 5)")
-    p_race.add_argument("--no-faults", action="store_true",
-                        help="skip the fault-mode scenarios")
     p_race.add_argument("--format", choices=["text", "json"], default="text")
     p_race.set_defaults(func=cmd_race)
 

@@ -9,9 +9,10 @@ regression test.
 - :mod:`repro.replay.replayer` -- :func:`replay`, re-driving a fresh
   runtime from a trace alone and checking byte-exact fingerprints;
 - :mod:`repro.replay.fingerprint` -- the exact-result fingerprint
-  format, shared with the race detector;
+  format;
 - :mod:`repro.replay.scenarios` -- the recordable scenario registry
-  behind ``python -m repro replay record``.
+  behind ``python -m repro replay record``, and the committed corpus
+  the race detector and panda-mc replay.
 
 See DESIGN.md section 17 for the trace schema and the determinism
 contract that makes bit-exact replay possible.

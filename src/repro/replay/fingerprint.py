@@ -1,13 +1,13 @@
-"""Exact run fingerprints, shared by the race detector and the replayer.
+"""Exact run fingerprints: the one format every verification tool pins.
 
 A fingerprint is a tuple of strings pinning everything the determinism
 contract promises: per-op timings as float hex (never decimal -- two
 different floats can print the same), admission-schedule records when a
 scheduler ran, and a sha256 digest over every client's stored bytes.
-The race detector compares fingerprints across perturbed dispatch
-orders; the replayer (:mod:`repro.replay.replayer`) compares a replayed
-run against the fingerprint its trace was captured with.  Both must
-agree on the format, which is why it lives here and nowhere else.
+The replayer (:mod:`repro.replay.replayer`) compares a replayed run
+against the fingerprint its trace was captured with; the race detector
+and panda-mc compare a trace's replays across dispatch orders.  All of
+them read the strings built here and nowhere else.
 """
 
 from __future__ import annotations

@@ -18,8 +18,14 @@ captured Python objects survive), then replays each recorded run:
   :class:`ReplayDivergence` naming the rank, dataset and instant.
 
 After the last run the replayed fingerprints (per-op elapsed float-hex
-+ admission schedule + stored-bytes sha256, the same strings the race
-detector pins) are compared against the trace's ``expect`` section.
++ admission schedule + stored-bytes sha256) are compared against the
+trace's ``expect`` section.
+
+``controller`` (a dispatch controller, see
+:meth:`repro.sim.engine.Simulator.enable_controller`) is installed on
+the fresh runtime before the first run: this is how the race detector
+perturbs and panda-mc enumerates a trace's same-instant dispatch
+order.
 
 ``policy_override`` replays the same stimuli under a different
 scheduling policy (the differential-replay experiment: policy changes
@@ -159,10 +165,13 @@ def _run_crashes(run_doc: Dict[str, Any]) -> List[tuple]:
 
 def replay(trace: WorkloadTrace, policy_override: Optional[str] = None,
            slo_override: Optional[Any] = None,
-           recapture: bool = False) -> ReplayOutcome:
+           recapture: bool = False,
+           controller: Optional[Any] = None) -> ReplayOutcome:
     """Replay every recorded run on a fresh runtime; see module doc."""
     strict = policy_override is None
     rt = build_runtime(trace, policy_override, slo_override)
+    if controller is not None:
+        rt.sim.enable_controller(controller)
     recorder = None
     if recapture:
         from repro.replay.capture import TraceRecorder

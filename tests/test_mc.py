@@ -26,14 +26,8 @@ from repro.analysis.hb import (
     footprint_key,
     vector_clocks,
 )
-from repro.analysis.mc import (
-    MCScenario,
-    Outcome,
-    explore,
-    mc_scenarios,
-    racy_fixture_scenario,
-    run_mc,
-)
+from repro.analysis.mc import explore, racy_fixture_scenario, run_mc
+from repro.analysis.race import Outcome, Scenario, trace_scenario
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resources import Store
 
@@ -153,7 +147,7 @@ class TestHappensBefore:
 
 # -- the explorer -----------------------------------------------------------
 
-def _pair_scenario(shared: bool) -> Tuple[MCScenario, List[Tuple]]:
+def _pair_scenario(shared: bool) -> Tuple[Scenario, List[Tuple]]:
     """Two same-instant writers; ``shared`` decides whether they touch
     the same key.  Returns the scenario plus a list collecting the
     canonical trace of every *completed* execution."""
@@ -181,7 +175,7 @@ def _pair_scenario(shared: bool) -> Tuple[MCScenario, List[Tuple]]:
         traces.append(canonical_trace(ctl.steps))
         return Outcome("complete", fingerprint=None)
 
-    return MCScenario("pair", run), traces
+    return Scenario("pair", run), traces
 
 
 class TestExplore:
@@ -246,42 +240,42 @@ class TestRealScenarios:
         rt = by_name["mc-roundtrip"]
         assert (rt.schedules, rt.sleep_blocked, rt.steps, rt.decisions) \
             == (1, 74, 143, 13)
+        # the scheduled traces' steps include the replay's three
+        # wake_at arrivals (the staggered groups 1-3)
         for policy in ("fifo", "sjf", "fair"):
             r = by_name[f"mc-sched-{policy}"]
-            assert (r.schedules, r.sleep_blocked, r.decisions) == (1, 31, 5)
+            assert (r.schedules, r.sleep_blocked, r.steps, r.decisions) \
+                == (1, 31, 695, 5)
         sh = by_name["mc-sharded-2"]
-        assert (sh.schedules, sh.sleep_blocked, sh.decisions) == (1, 65, 8)
+        assert (sh.schedules, sh.sleep_blocked, sh.steps, sh.decisions) \
+            == (1, 65, 716, 8)
 
     def test_brute_force_roundtrip_is_schedule_independent(self):
         # ground truth for the reduction on a *real* pipeline, not a
-        # toy: at a minimal roundtrip config all 48 raw interleavings
-        # complete bit-identically, and reduction collapses them to the
-        # single Mazurkiewicz trace (the mc-roundtrip config itself has
-        # too many raw interleavings to brute-force in a test)
-        from repro.analysis.mc import _adapt
-        from repro.analysis.race import _roundtrip_scenario
+        # toy: a minimal roundtrip trace, recorded here through the
+        # corpus recipe, completes all 48 raw interleavings
+        # bit-identically, and reduction collapses them to the single
+        # Mazurkiewicz trace (the mc-roundtrip trace itself has too many
+        # raw interleavings to brute-force in a test)
+        from repro.replay.scenarios import _record_roundtrip
 
-        def tiny():
-            return _adapt(_roundtrip_scenario(
-                "tiny-roundtrip", reorganize=False, faults=None,
-                real_payloads=True, shape=(4, 4), mem_shape=(2, 1),
-                disk_shape=(1,), n_io=1,
-            ))
+        tiny = trace_scenario(_record_roundtrip(
+            "tiny-roundtrip", shape=(4, 4), mem_mesh=(2, 1), n_io=1))
 
-        brute = explore(tiny(), reduce=False)
+        brute = explore(tiny, reduce=False)
         assert brute.complete and brute.ok, \
             [f.describe() for f in brute.findings]
         assert brute.schedules == 48
         assert brute.sleep_blocked == 0
 
-        red = explore(tiny())
+        red = explore(tiny)
         assert red.complete and red.ok
         assert (red.schedules, red.sleep_blocked) == (1, 8)
 
 
 # -- property test: reduction vs brute-force ground truth -------------------
 
-def _toy_scenario(plan: Sequence[Tuple[str, str]]) -> Tuple[MCScenario, List[Tuple]]:
+def _toy_scenario(plan: Sequence[Tuple[str, str]]) -> Tuple[Scenario, List[Tuple]]:
     """Two producers and one consumer over a shared buffer.  ``plan``
     gives each producer event a name and the key it touches ("buf" is
     the shared buffer; anything else is producer-private).  All
@@ -314,7 +308,7 @@ def _toy_scenario(plan: Sequence[Tuple[str, str]]) -> Tuple[MCScenario, List[Tup
         traces.append(canonical_trace(ctl.steps))
         return Outcome("complete", fingerprint=None)
 
-    return MCScenario("toy", run), traces
+    return Scenario("toy", run), traces
 
 
 @st.composite

@@ -4,10 +4,12 @@ and differential replay.
 The corpus under ``tests/traces/`` is the regression surface: every
 committed trace must (a) replay bit-exactly -- identical per-op
 fingerprints, admission schedule and stored-bytes digest -- on a
-runtime built from the trace alone, and (b) be re-recordable byte for
+runtime built from the trace alone, (b) be re-recordable byte for
 byte from its scenario recipe (the capture path is part of the
-contract, not just the replay path).  The acceptance-combo trace
-(``storm-small``: 2 admission shards, a shard-master crash, message
+contract, not just the replay path), and (c) replay identically under
+the race detector's logging-only dispatch controller.  The same traces
+are the race detector's and panda-mc's only scenarios.  The
+acceptance-combo trace (``storm-small``: 2 admission shards, a shard-master crash, message
 faults and SLO shedding in one capture) is additionally replayed in a
 fresh interpreter through the CLI, proving the trace file really is
 the whole stimulus.
@@ -58,6 +60,22 @@ def test_golden_replays_bit_exactly(name):
 def test_golden_re_records_byte_identically(name):
     committed = (TRACES / f"{name}.json").read_text()
     assert record_scenario(name).dumps() + "\n" == committed
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden_logged_baseline_equals_unlogged(name):
+    """Under the unseeded dispatch controller -- the race detector's
+    baseline -- a replay logs every dispatch but changes nothing: same
+    fingerprints, same stored bytes as the fast loop."""
+    from repro.analysis.race import PerturbController
+
+    trace = WorkloadTrace.load(TRACES / f"{name}.json")
+    ctl = PerturbController()
+    logged = replay(trace, controller=ctl)
+    plain = replay(trace)
+    assert ctl.log
+    assert logged.fingerprints == plain.fingerprints
+    assert logged.stored == plain.stored
 
 
 @pytest.mark.parametrize("name", GOLDENS)
