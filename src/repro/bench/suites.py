@@ -512,6 +512,15 @@ def _real_roundtrip(shape: Tuple[int, int, int]) -> None:
     runtime.run(write_read_roundtrip_app([a], "wallclock", data))
 
 
+def _admission_herd(n_ops: int) -> None:
+    """The scheduled path: ``n_ops`` single-rank 8 KB writes through
+    one fair-policy admission master to 64 I/O nodes, where SCHED
+    fan-out and empty-share plan formation are nearly all the cost."""
+    from repro.bench.scale import run_many_tenants
+
+    run_many_tenants(n_ops, 64, 1, policy="fair")
+
+
 #: suite name -> (callable, in smoke subset?)
 WALLCLOCK_SUITES: Dict[str, Tuple[Callable[[], None], bool]] = {
     "fig4_virtual": (lambda: _fig_sweep("fig4"), False),
@@ -520,6 +529,8 @@ WALLCLOCK_SUITES: Dict[str, Tuple[Callable[[], None], bool]] = {
     "fig8_smoke": (lambda: _fig_sweep("fig8", sizes=(64,), ionodes=(4,)), True),
     "real_roundtrip_16mb": (lambda: _real_roundtrip((128, 128, 128)), False),
     "real_roundtrip_2mb": (lambda: _real_roundtrip((64, 64, 64)), True),
+    "admission_herd": (lambda: _admission_herd(300), False),
+    "admission_herd_smoke": (lambda: _admission_herd(50), True),
 }
 
 

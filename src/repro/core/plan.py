@@ -46,6 +46,7 @@ __all__ = [
     "dataset_file",
     "locate_chunk",
     "op_participants",
+    "plan_items",
 ]
 
 
@@ -189,6 +190,23 @@ def op_participants(op: CollectiveOp, n_servers: int) -> Tuple[int, ...]:
     return frozen
 
 
+def plan_items(
+    op: CollectiveOp,
+    server_index: int,
+    n_servers: int,
+    config: PandaConfig,
+) -> Tuple[SubchunkPlan, ...]:
+    """The sub-chunks of ``server_index``'s plan as the memoised,
+    shared tuple: :func:`build_server_plan`'s items without the
+    :class:`ServerPlan` wrapper and its list copy (the server forms one
+    plan per op on every node, most of them empty at scale)."""
+    if n_servers < 1:
+        raise ValueError("need at least one server")
+    if not 0 <= server_index < n_servers:
+        raise ValueError(f"server index {server_index} out of range")
+    return _plan_items(op, server_index, n_servers, config)
+
+
 def build_server_plan(
     op: CollectiveOp,
     server_index: int,
@@ -196,15 +214,11 @@ def build_server_plan(
     config: PandaConfig,
 ) -> ServerPlan:
     """Form the deterministic plan for ``server_index`` of ``n_servers``."""
-    if n_servers < 1:
-        raise ValueError("need at least one server")
-    if not 0 <= server_index < n_servers:
-        raise ValueError(f"server index {server_index} out of range")
     return ServerPlan(
         op=op,
         server_index=server_index,
         n_servers=n_servers,
-        items=list(_plan_items(op, server_index, n_servers, config)),
+        items=list(plan_items(op, server_index, n_servers, config)),
     )
 
 

@@ -129,6 +129,19 @@ class ArraySpec:
                 f"shape {self.shape}"
             )
 
+    def __hash__(self) -> int:  # cached; dataclass keeps explicit hashes
+        # specs key the plan memo, which every server consults once per
+        # op, but most specs (one per client per op) are never hashed:
+        # compute on first use, then reuse
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.name, self.shape, self.itemsize, self.dtype,
+                      self.memory_schema, self.disk_schema,
+                      self.sub_chunk_bytes))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def nbytes(self) -> int:
         n = self.itemsize
@@ -251,24 +264,39 @@ class PieceAck:
     subchunk_seq: int
 
 
-@dataclass(frozen=True)
 class ServerDone:
     """A server reports completion of its share of an op.
 
     ``recovery`` distinguishes the second completion a survivor sends
     after executing a mid-op recovery assignment from its ordinary
-    plan completion (the master gathers the two waves separately)."""
+    plan completion (the master gathers the two waves separately).
 
-    op_id: int
-    server_index: int
-    bytes_moved: int
-    recovery: bool = False
-    #: the scheduler's globally unique admission sequence number.
-    #: Per-group ``op_id`` counters all start at 0, so with several
-    #: client groups in flight this is what routes a completion to the
-    #: right op.  -1 on recovery completions, which the recovering
-    #: master matches on ``op_id`` inside its own gather.
-    admit_seq: int = -1
+    A plain slotted class rather than a frozen dataclass, like
+    :class:`~repro.mpi.message.Message`: every server builds one per
+    op, so a 64-node fan-out pays frozen-dataclass construction 64
+    times per op.  Instances are treated as immutable by convention."""
+
+    __slots__ = ("op_id", "server_index", "bytes_moved", "recovery",
+                 "admit_seq")
+
+    def __init__(self, op_id: int, server_index: int, bytes_moved: int,
+                 recovery: bool = False, admit_seq: int = -1) -> None:
+        self.op_id = op_id
+        self.server_index = server_index
+        self.bytes_moved = bytes_moved
+        self.recovery = recovery
+        #: the scheduler's globally unique admission sequence number.
+        #: Per-group ``op_id`` counters all start at 0, so with several
+        #: client groups in flight this is what routes a completion to
+        #: the right op.  -1 on recovery completions, which the
+        #: recovering master matches on ``op_id`` inside its own gather.
+        self.admit_seq = admit_seq
+
+    def __repr__(self) -> str:
+        return (f"ServerDone(op_id={self.op_id}, "
+                f"server_index={self.server_index}, "
+                f"bytes_moved={self.bytes_moved}, "
+                f"recovery={self.recovery}, admit_seq={self.admit_seq})")
 
 
 @dataclass(frozen=True)

@@ -358,8 +358,19 @@ class _Policy:
     def charged(self, p: OpProgress, nbytes: int) -> None:
         pass
 
-    def select(self, active: List[OpProgress]) -> OpProgress:
+    def select(self, active: Dict[int, OpProgress]) -> OpProgress:
+        """The op to service next among ``active`` (admit_seq -> op;
+        never empty, and every op in it has work left -- see
+        :meth:`ServerScheduler.pick`)."""
         raise NotImplementedError
+
+
+def _admit_seq(p: OpProgress) -> int:
+    return p.sched.admit_seq
+
+
+def _sjf_key(p: OpProgress) -> Tuple[float, int]:
+    return (p.sched.estimate, p.sched.admit_seq)
 
 
 class FifoPolicy(_Policy):
@@ -367,8 +378,8 @@ class FifoPolicy(_Policy):
 
     name = "fifo"
 
-    def select(self, active: List[OpProgress]) -> OpProgress:
-        return min(active, key=lambda p: p.sched.admit_seq)
+    def select(self, active: Dict[int, OpProgress]) -> OpProgress:
+        return min(active.values(), key=_admit_seq)
 
 
 class SJFPolicy(_Policy):
@@ -383,9 +394,8 @@ class SJFPolicy(_Policy):
     def admission_key(self, entry: "_Arrival") -> tuple:
         return (entry.estimate, entry.seq)
 
-    def select(self, active: List[OpProgress]) -> OpProgress:
-        return min(active, key=lambda p: (p.sched.estimate,
-                                          p.sched.admit_seq))
+    def select(self, active: Dict[int, OpProgress]) -> OpProgress:
+        return min(active.values(), key=_sjf_key)
 
 
 class FairSharePolicy(_Policy):
@@ -394,31 +404,35 @@ class FairSharePolicy(_Policy):
     Each op accumulates ``quantum * weight`` bytes of credit per
     rotation visit and is serviced while its credit covers the next
     sub-chunk -- so over time each active op receives service
-    proportional to its weight, regardless of sub-chunk sizes."""
+    proportional to its weight, regardless of sub-chunk sizes.
+
+    The ring holds the active ops themselves in rotation order (it
+    gains an op at :meth:`admitted` and loses it at :meth:`finished`),
+    so a selection reads them directly."""
 
     name = "fair"
 
     def __init__(self, quantum_bytes: int) -> None:
         self.quantum = quantum_bytes
-        self._ring: Deque[int] = deque()
+        self._ring: Deque[OpProgress] = deque()
 
     def admitted(self, p: OpProgress) -> None:
-        self._ring.append(p.sched.admit_seq)
+        self._ring.append(p)
 
     def finished(self, p: OpProgress) -> None:
-        self._ring.remove(p.sched.admit_seq)
+        self._ring.remove(p)
 
     def charged(self, p: OpProgress, nbytes: int) -> None:
         p.deficit -= nbytes
 
-    def select(self, active: List[OpProgress]) -> OpProgress:
-        by_seq = {p.sched.admit_seq: p for p in active}
+    def select(self, active: Dict[int, OpProgress]) -> OpProgress:
+        ring = self._ring
         while True:
-            p = by_seq[self._ring[0]]
+            p = ring[0]
             if p.deficit >= p.next_nbytes:
                 return p
             p.deficit += self.quantum * p.weight
-            self._ring.rotate(-1)
+            ring.rotate(-1)
 
 
 #: healthy-tenant DRR weight multiplier under the ``slo`` policy: a
@@ -477,14 +491,14 @@ class ServerScheduler:
     def idle(self) -> bool:
         return not self.active
 
-    def start(self, sched: SchedOp, plan: Any,
+    def start(self, sched: SchedOp, file_name: str, items: tuple,
               assignments: tuple) -> OpProgress:
         """Begin executing one admitted op on this server: its own plan
-        portion (unless directed to skip it) followed by any recovery
-        assignments relocated here."""
+        portion ``items`` against ``file_name`` (unless directed to
+        skip it) followed by any recovery assignments relocated here."""
         segments: List[_Segment] = []
         if self.server_index not in sched.skip:
-            segments.append(_Segment(plan.file_name, plan.items))
+            segments.append(_Segment(file_name, items))
         for a in assignments:
             segments.append(_Segment(a.file_name, a.items))
         p = OpProgress(sched, segments)
@@ -494,11 +508,17 @@ class ServerScheduler:
 
     def pick(self) -> Optional[OpProgress]:
         """The op whose next sub-chunk this server should issue, or
-        None when no admitted op has work left."""
-        runnable = [p for p in self.active.values() if not p.done]
-        if not runnable:
+        None when no admitted op has work left.
+
+        Every active op is runnable: the server calls :meth:`finish`
+        in the same step that runs an op's last segment edge (or at
+        :meth:`start`, for an op with no segments), so the policy
+        selects over ``active`` as it stands, without a filtered
+        copy."""
+        active = self.active
+        if not active:
             return None
-        return self.policy.select(runnable)
+        return self.policy.select(active)
 
     def finish(self, p: OpProgress) -> None:
         del self.active[p.sched.admit_seq]
@@ -550,6 +570,12 @@ class AdmissionQueue:
         # dict preserves insertion order == ascending seq order
         self._q: Dict[int, _Arrival] = {}
         self._by_dataset: Dict[str, List[_Arrival]] = {}
+        #: datasets blocked by admitted, not yet retired ops: an
+        #: in-flight write blocks everything on its dataset, in-flight
+        #: reads (counted: several may share a dataset) block writes.
+        #: Kept by :meth:`admit` / :meth:`retire`.
+        self._write_block: Set[str] = set()
+        self._read_block: Dict[str, int] = {}
         self._next_seq = seq_start
         self._seq_step = seq_step
         self.peak = 0
@@ -587,17 +613,13 @@ class AdmissionQueue:
                 return True
         return False
 
-    def admissible(self, in_flight: List["CollectiveOp"]) -> Optional[_Arrival]:
+    def admissible(self) -> Optional[_Arrival]:
         """The next arrival the policy may admit: conflict-free against
-        every in-flight op and every *earlier-arrived* queued op (so
-        same-dataset ops keep their arrival order -- the serial-
-        equivalence invariant)."""
-        # datasets blocked by in-flight ops: a write blocks everything
-        # on its dataset, a read blocks only writes
-        write_block: Set[str] = set()
-        read_block: Set[str] = set()
-        for op in in_flight:
-            (write_block if op.kind == "write" else read_block).add(op.dataset)
+        every in-flight (admitted, not yet retired) op and every
+        *earlier-arrived* queued op (so same-dataset ops keep their
+        arrival order -- the serial-equivalence invariant)."""
+        write_block = self._write_block
+        read_block = self._read_block
         first_hit = self.policy.admission_by_seq
         best: Optional[_Arrival] = None
         best_key: Optional[tuple] = None
@@ -615,12 +637,32 @@ class AdmissionQueue:
                 best, best_key = e, key
         return best
 
-    def remove(self, entry: _Arrival) -> None:
+    def admit(self, entry: _Arrival) -> None:
+        """Take ``entry`` out of the queue into flight: its dataset
+        stays blocked until :meth:`retire`."""
+        op = entry.op
+        ds = op.dataset
         del self._q[entry.seq]
-        bucket = self._by_dataset[entry.op.dataset]
+        bucket = self._by_dataset[ds]
         bucket.remove(entry)
         if not bucket:
-            del self._by_dataset[entry.op.dataset]
+            del self._by_dataset[ds]
+        if op.kind == "write":
+            self._write_block.add(ds)
+        else:
+            self._read_block[ds] = self._read_block.get(ds, 0) + 1
+
+    def retire(self, op: "CollectiveOp") -> None:
+        """An admitted op completed: unblock its dataset."""
+        ds = op.dataset
+        if op.kind == "write":
+            self._write_block.discard(ds)
+        else:
+            left = self._read_block[ds] - 1
+            if left:
+                self._read_block[ds] = left
+            else:
+                del self._read_block[ds]
 
 
 # -- per-op metrics ----------------------------------------------------------

@@ -106,7 +106,7 @@ class SequentialPanda:
                 else:
                     block = DataBlock.virtual(chunk.region.size * dtype.itemsize)
                 yield from fh.write(block)
-            yield from fh.fsync()
+            fh.fsync()
             fh.close()
 
         self.sim.run_process(writer(self.sim))

@@ -66,7 +66,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.plan import SubchunkPlan, build_server_plan, op_participants
+from repro.core.plan import (SubchunkPlan, build_server_plan, dataset_file,
+                             op_participants, plan_items)
 from repro.core.protocol import (
     ArraySpec,
     CollectiveOp,
@@ -133,18 +134,20 @@ class PandaServer:
         #: ``slo`` policy, shard masters only: this shard's per-tenant
         #: latency bookkeeping.  Set by :meth:`run`.
         self._slo_tracker: Optional[SLOTracker] = None
+        #: shard masters only: the admission queue.  Set by :meth:`run`.
+        self._queue: Optional[AdmissionQueue] = None
         # per-op accounting for the trace/results
         self.bytes_written = 0
         self.bytes_read = 0
         self.subchunks_processed = 0
 
     def _mark(self, kind: str, /, **detail) -> None:
-        """Emit a phase-boundary trace record (no-op when untraced).
-        The observability layer (:mod:`repro.obs`) turns these into
-        Perfetto tracks and the critical-path phase breakdown."""
-        trace = self.runtime.trace
-        if trace is not None:
-            trace.emit(self.comm.sim.now, self._src, kind, **detail)
+        """Emit a phase-boundary trace record.  Callers test
+        ``runtime.trace`` first, so an untraced run never builds the
+        detail kwargs.  The observability layer (:mod:`repro.obs`)
+        turns these into Perfetto tracks and the critical-path phase
+        breakdown."""
+        self.runtime.trace.emit(self.comm.sim.now, self._src, kind, **detail)
 
     @property
     def is_master(self) -> bool:
@@ -360,7 +363,7 @@ class PandaServer:
             fh = self.fs.open(a.file_name, "w")
             for item in a.items:
                 moved += yield from self._write_one(op, fh, item)
-            yield from fh.fsync()
+            fh.fsync()
             self.bytes_written += moved
         else:
             fh = self.fs.open(a.file_name, "r")
@@ -573,9 +576,15 @@ class PandaServer:
                 return m.tag != Tags.REQUEST or not (
                     _queue.full or (paper and self._completions))
 
+        # the control predicate is loop-invariant (the gate reads the
+        # queue and the in-flight set when called): build it once, as
+        # the clients' serve loops do, and receive with it directly
+        control = self.comm.match_pred(tags=listen, match=gate)
         #: shard master only: admit_seq -> _OpCompletion for in-flight
         #: ops this shard admitted
         self._completions: Dict[int, _OpCompletion] = {}
+        self._queue = queue
+        max_in_flight = cfg.max_in_flight
         abort_orphans = sharded and self._reliable
         shutdown = False
         while True:
@@ -585,12 +594,14 @@ class PandaServer:
                 self._sched_abort_orphans(sched)
             progressed = False
             while True:
-                msg = self.comm.try_recv(tags=listen, match=gate)
+                msg = self.comm.try_recv(match=control)
                 if msg is None:
                     break
                 progressed = True
                 shutdown |= yield from self._sched_control(msg, sched, queue)
-            if queue is not None:
+            if queue is not None and len(queue) \
+                    and len(self._completions) < max_in_flight:
+                # (_sched_admit would find nothing to do otherwise)
                 progressed |= yield from self._sched_admit(sched, queue)
             p = sched.pick()
             if p is not None:
@@ -603,14 +614,12 @@ class PandaServer:
                 return
             if self._reliable and master and self._completions:
                 msg = yield from self.comm.recv(
-                    tags=listen, match=gate,
-                    timeout=rt.injector.spec.detect_timeout,
-                )
+                    match=control, timeout=rt.injector.spec.detect_timeout)
                 if msg is None:
                     yield from self._sched_detect(sched)
                     continue
             else:
-                msg = yield from self.comm.recv(tags=listen, match=gate)
+                msg = yield self.comm.recv_ev(control)
             shutdown |= yield from self._sched_control(msg, sched, queue)
 
     def _sched_control(self, msg, sched: ServerScheduler, queue):
@@ -633,8 +642,9 @@ class PandaServer:
                     f"server {self.server_index}: stray recovery completion "
                     f"from server {done.server_index}"
                 )
-            yield from self._sched_credit(done.admit_seq, done.server_index,
-                                          done.bytes_moved)
+            if self._sched_credit(done.admit_seq, done.server_index,
+                                  done.bytes_moved):
+                yield from self._sched_complete(done.admit_seq)
         else:  # RECOVER (fault mode; sent by a failure-detecting owner)
             yield from self._serve_recover(msg.payload)
         return False
@@ -709,11 +719,10 @@ class PandaServer:
         sharded = rt.n_shards > 1
         admitted = False
         while len(self._completions) < self._cfg.max_in_flight:
-            in_flight = [c.sched.op for c in self._completions.values()]
-            entry = queue.admissible(in_flight)
+            entry = queue.admissible()
             if entry is None:
                 break
-            queue.remove(entry)
+            queue.admit(entry)
             op = entry.op
             rt.catalog_check(op)
             skip: Tuple[int, ...] = ()
@@ -766,7 +775,8 @@ class PandaServer:
             else:
                 # this owner has no execution share; with an empty
                 # participant set the op may already be completable
-                yield from self._sched_maybe_complete(entry.seq, comp)
+                if not comp.remaining:
+                    yield from self._sched_complete(entry.seq)
             admitted = True
         return admitted
 
@@ -774,14 +784,20 @@ class PandaServer:
         """Form this server's plan for a newly admitted op and hand it
         to the service policy."""
         op = sop.op
-        self._mark("srv_op_start", op_id=sop.admit_seq, kind=op.kind)
+        rt = self.runtime
+        if rt.trace is not None:
+            self._mark("srv_op_start", op_id=sop.admit_seq, kind=op.kind)
         yield self.comm.compute_ev(self.comm.spec.plan_formation_overhead)
-        plan = build_server_plan(op, self.server_index, self.runtime.n_io,
-                                 self.runtime.config)
-        assignments = tuple(a for a in sop.recoveries
-                            if a.survivor_index == self.server_index)
-        p = sched.start(sop, plan, assignments)
-        self._mark("srv_plan_ready", op_id=sop.admit_seq)
+        # the memoised item tuple itself: no ServerPlan, no list copy
+        me = self.server_index
+        items = plan_items(op, me, rt.n_io, rt.config)
+        assignments: Tuple[RecoveryAssignment, ...] = ()
+        if sop.recoveries:
+            assignments = tuple(a for a in sop.recoveries
+                                if a.survivor_index == me)
+        p = sched.start(sop, dataset_file(op.dataset, me), items, assignments)
+        if rt.trace is not None:
+            self._mark("srv_plan_ready", op_id=sop.admit_seq)
         if p.done:
             # nothing to execute here (directed to skip, no recovery
             # assignments): report completion immediately
@@ -816,7 +832,7 @@ class PandaServer:
             sched.policy.charged(p, item.nbytes)
         if p.item_index >= len(seg.items):
             if op.kind == "write":
-                yield from p.fh.fsync()
+                p.fh.fsync()
             p.fh.close()
             p.fh = None
             p.seg_index += 1
@@ -828,40 +844,46 @@ class PandaServer:
         """This server's share of one op is complete: report it to the
         shard master that admitted it (locally, when that is us)."""
         sched.finish(p)
-        self._mark("srv_io_done", op_id=p.sched.admit_seq, moved=p.moved)
+        trace = self.runtime.trace
+        admit_seq = p.sched.admit_seq
+        if trace is not None:
+            self._mark("srv_io_done", op_id=admit_seq, moved=p.moved)
         if self._shard is not None and p.sched.shard == self._shard:
-            yield from self._sched_credit(p.sched.admit_seq,
-                                          self.server_index, p.moved)
+            if self._sched_credit(admit_seq, self.server_index, p.moved):
+                yield from self._sched_complete(admit_seq)
         else:
             done = ServerDone(p.op.op_id, self.server_index, p.moved,
-                              admit_seq=p.sched.admit_seq)
+                              False, admit_seq)
             yield from self.comm.send(
                 self.runtime.server_rank(p.sched.shard),
                 Tags.SERVER_DONE, done,
             )
-            self._mark("srv_op_done", op_id=p.sched.admit_seq)
+            if trace is not None:
+                self._mark("srv_op_done", op_id=admit_seq)
 
-    def _sched_credit(self, admit_seq: int, server_index: int, moved: int):
+    def _sched_credit(self, admit_seq: int, server_index: int,
+                      moved: int) -> bool:
         """Shard master: record one server's completion of an op this
-        shard admitted."""
+        shard admitted.  True when it was the last one expected: the
+        caller then commits the op with :meth:`_sched_complete`.  A
+        plain call, so the common non-final credit costs no generator
+        frame."""
         comp = self._completions.get(admit_seq)
         if comp is None:
             raise RuntimeError(
                 f"server {self.server_index}: completion for unknown "
                 f"scheduled op {admit_seq} from server {server_index}"
             )
-        comp.done.add(server_index)
-        comp.moved += moved
-        yield from self._sched_maybe_complete(admit_seq, comp)
+        comp.credit(server_index, moved)
+        return not comp.remaining
 
-    def _sched_maybe_complete(self, admit_seq: int, comp: "_OpCompletion"):
-        """Shard master: when the last expected server has reported,
-        commit the op and notify its master client."""
-        if comp.expected - comp.done:
-            return
+    def _sched_complete(self, admit_seq: int):
+        """Shard master: the last expected server has reported; commit
+        the op and notify its master client."""
         rt = self.runtime
+        comp = self._completions.pop(admit_seq)
+        self._queue.retire(comp.sched.op)
         op = comp.sched.op
-        del self._completions[admit_seq]
         if op.kind == "write":
             if self._reliable:
                 rt.record_relocations(op.dataset, comp.pending_reloc)
@@ -884,7 +906,7 @@ class PandaServer:
                           op_id=op.op_id, dataset=op.dataset, moved=comp.moved,
                           service=now - rec.admitted,
                           turnaround=rec.turnaround, **extra)
-        self._mark("srv_op_done", op_id=admit_seq)
+            self._mark("srv_op_done", op_id=admit_seq)
 
     def _sched_abort_orphans(self, sched: ServerScheduler) -> None:
         """Sharded fault mode: drop active work admitted by a shard
@@ -909,8 +931,9 @@ class PandaServer:
                 p.fh.close()
                 p.fh = None
             sched.finish(p)
-            self._mark("srv_op_aborted", op_id=p.sched.admit_seq,
-                       shard=p.sched.shard)
+            if rt.trace is not None:
+                self._mark("srv_op_aborted", op_id=p.sched.admit_seq,
+                           shard=p.sched.shard)
 
     def _sched_detect(self, sched: ServerScheduler):
         """Shard master, fault mode: the blocking receive timed out.
@@ -924,7 +947,7 @@ class PandaServer:
                 continue
             op = comp.sched.op
             for k in sorted(rt.crashed_servers & comp.expected):
-                comp.expected.discard(k)
+                comp.drop(k)
                 if k in comp.done:
                     # finished before dying: its file is complete but
                     # unreachable until the node is repaired (next run)
@@ -944,15 +967,21 @@ class PandaServer:
                 assignments = yield from self._recover_midop(op, k)
                 if assignments:
                     comp.pending_reloc[k] = assignments
-            yield from self._sched_maybe_complete(admit_seq, comp)
+            if not comp.remaining:
+                yield from self._sched_complete(admit_seq)
 
 
 class _OpCompletion:
     """Master-side completion bookkeeping for one in-flight scheduled
     op: which servers still owe a SERVER_DONE, bytes credited so far,
-    and relocations to persist at commit."""
+    and relocations to persist at commit.
 
-    __slots__ = ("sched", "expected", "done", "moved", "pending_reloc")
+    ``remaining`` is ``len(expected - done)`` kept as a countdown by
+    :meth:`credit` and :meth:`drop`, so a SERVER_DONE costs O(1)
+    instead of a set difference over up to every server."""
+
+    __slots__ = ("sched", "expected", "done", "remaining", "moved",
+                 "pending_reloc")
 
     def __init__(self, sched: SchedOp, expected,
                  pending_reloc: Dict[int, Tuple[RecoveryAssignment, ...]],
@@ -960,5 +989,21 @@ class _OpCompletion:
         self.sched = sched
         self.expected: Set[int] = set(expected)
         self.done: Set[int] = set()
+        self.remaining = len(self.expected)
         self.moved = 0
         self.pending_reloc = dict(pending_reloc)
+
+    def credit(self, server_index: int, moved: int) -> None:
+        """``server_index`` reported its share (``moved`` bytes)."""
+        if server_index not in self.done:
+            self.done.add(server_index)
+            if server_index in self.expected:
+                self.remaining -= 1
+        self.moved += moved
+
+    def drop(self, server_index: int) -> None:
+        """``server_index`` crashed: no longer expected to report."""
+        if server_index in self.expected:
+            self.expected.discard(server_index)
+            if server_index not in self.done:
+                self.remaining -= 1

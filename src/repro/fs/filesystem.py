@@ -174,17 +174,16 @@ class FileHandle:
 
         return DataBlock.real(np.frombuffer(raw, dtype=np.uint8))
 
-    def fsync(self):
+    def fsync(self) -> None:
         """Flush to disk.  The write path is write-through in this model
         (every write is charged full disk time), so fsync is free; it is
         kept as an explicit, traced event because the paper's methodology
         calls it out ("We flush the data to disk using fsync for each
-        write operation")."""
+        write operation").  A plain call, not a process helper: it
+        charges no simulated time, so it never needs to yield."""
         self._check_open(write=False)
         if self.fs.trace is not None:
             self.fs.trace.emit(self.fs.sim.now, self.fs.node, "fsync", path=self.path)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def close(self) -> None:
         self.closed = True

@@ -112,6 +112,8 @@ class Communicator:
             tagset = frozenset(tags)
             if src is None and match is None:
                 return lambda msg: msg.tag in tagset
+            if src is None:
+                return lambda msg: msg.tag in tagset and match(msg)
             return lambda msg: (
                 msg.tag in tagset
                 and (src is None or msg.src == src)
@@ -160,9 +162,14 @@ class Communicator:
         the mailbox, or ``None``.  Plain call (not ``yield from``) --
         it consumes no simulated time.  Non-matching messages are left
         queued (the inter-op scheduler uses this to exert backpressure
-        by refusing REQUESTs while its admission queue is full)."""
-        pred = self._match_pred(src, tag, tags, match)
-        return self.network.mailboxes[self.rank].try_get(pred)
+        by refusing REQUESTs while its admission queue is full).
+
+        With ``match`` alone the predicate is used as given, so a
+        polling loop can pass a hoisted :meth:`match_pred` without
+        building a closure per poll."""
+        if src is None and tag is None and tags is None:
+            return self._mailbox.try_get(match)
+        return self._mailbox.try_get(self._match_pred(src, tag, tags, match))
 
     def probe_pending(self) -> int:
         """Number of undelivered messages in this rank's mailbox."""

@@ -72,8 +72,10 @@ class Network:
         The generator itself completes when the sender is free (links
         released), which is what a blocking send waits for.
         """
-        self._check_rank(src)
-        self._check_rank(dst)
+        n = self.n_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_rank(src)  # raises for the offending rank
+            self._check_rank(dst)
         if src == dst:
             raise ValueError(f"self-send on rank {src} (tag {tag})")
         if nbytes < 0:
@@ -131,19 +133,25 @@ class Network:
         # static name: one transfer per message makes per-delivery
         # f-strings measurable; src/dst are recoverable from the Message
         delivered = Event(sim, "delivery")
-        # one packed argument: queue entries carry a single arg slot, so
-        # this avoids a trampoline allocation per message
-        sim.schedule(self._latency + extra, self._deliver,
-                     (src, dst, tag, payload, nbytes, delivered))
+        # queued directly (Simulator.schedule minus its arity and sign
+        # checks) with one packed argument: entries carry a single arg
+        # slot, so this avoids a trampoline allocation per message
+        delay = self._latency + extra
+        packed = (src, dst, tag, payload, nbytes, delivered)
+        if delay == 0.0:
+            sim._post(self._deliver, packed)
+        else:
+            sim._push(sim._now + delay, self._deliver, packed)
         return delivered
 
     def _deliver(self, packed: tuple) -> None:
         src, dst, tag, payload, nbytes, delivered = packed
-        msg = Message(src, dst, tag, payload, nbytes, arrived_at=self.sim.now)
+        now = self.sim._now
+        msg = Message(src, dst, tag, payload, nbytes, arrived_at=now)
         self.mailboxes[dst].put(msg)
         if self.trace is not None:
             self.trace.emit(
-                self.sim.now,
+                now,
                 "net",
                 "message",
                 src=src,

@@ -261,8 +261,22 @@ class Timeout(Event):
         self.delay = delay
         if delay == 0.0:
             sim._post(self._fire, value)
+            return
+        # Simulator._push inlined: a timeout is the most common heap
+        # entry (per message, per charge); same slot, same seq
+        free = sim._free
+        seq = sim._seq
+        if free:
+            e = free.pop()
+            e[0] = sim._now + delay
+            e[1] = seq
+            e[2] = self._fire
+            e[3] = value
         else:
-            sim._push(sim._now + delay, self._fire, value)
+            e = [sim._now + delay, seq, self._fire, value]
+        sim._seq = seq + 1
+        sim._heap_pushes += 1
+        heapq.heappush(sim._heap, e)
 
     def _fire(self, value: Any) -> None:
         # succeed() with synchronous callbacks: _fire only ever runs as
@@ -443,8 +457,13 @@ class Process(Event):
                         throw = None
                         value = target._value
                     continue
+                # add_callback inlined: the target is pending, so its
+                # callback list is live and the registration token unused
                 self._waiting_on = target
-                target.add_callback(self._resume)
+                target._defused = True
+                cbs = target.callbacks
+                assert cbs is not None
+                cbs.append(self._resume)
                 return
             if hasattr(target, "send"):
                 # yielding a bare generator spawns-and-joins it; the

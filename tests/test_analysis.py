@@ -450,7 +450,7 @@ class TestProtocolChecker:
         assert sent == received == set(report.tags)
         assert "SCHED" in sent
         # No guard edges survive on the real tree any more: the inter-op
-        # scheduler's completion path (server._sched_maybe_complete) is a
+        # scheduler's completion path (server._sched_complete) is a
         # second OP_DONE send site that credits SERVER_DONEs drained off a
         # multi-tag listen rather than an inline single-tag gather, so the
         # all-send-sites intersection for OP_DONE is empty.  The PING/PONG

@@ -168,7 +168,7 @@ def test_file_write_read_roundtrip_real():
     def proc(sim):
         fh = fs.open("data.bin", "w")
         yield from fh.write(DataBlock.real(data))
-        yield from fh.fsync()
+        fh.fsync()
         fh.close()
         fh = fs.open("data.bin", "r")
         block = yield from fh.read(data.nbytes)
@@ -338,7 +338,7 @@ def test_filesystem_read_block_is_mutation_proof():
     def proc(sim):
         fh = fs.open("data", "w")
         yield from fh.write(DataBlock.real(np.arange(16, dtype=np.uint8)))
-        yield from fh.fsync()
+        fh.fsync()
         fh.close()
         fh = fs.open("data", "r")
         block = yield from fh.read(16)
